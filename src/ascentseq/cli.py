@@ -187,6 +187,8 @@ def _cmd_coeffs(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    if args.n_max is not None and args.n_max < 1:
+        parser.error("--n-max must be at least 1")
     if args.order is not None and args.n_max is not None and args.order < args.n_max:
         parser.error("--order must be at least --n-max")
     reports = []

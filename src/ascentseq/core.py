@@ -9,16 +9,17 @@ pattern if some subsequence of it is order-isomorphic to the pattern.
 Everything here works from those definitions alone: validity, reduction,
 containment, the set of digits that can legally extend a sequence without
 creating a forbidden pattern, and depth-first enumeration/counting of the
-avoidance class of a pattern set.  Containment uses a dynamic program over
-pattern prefixes (partial assignments of sequence values to pattern
-values); a naive scan over all index subsequences is kept as a test
-oracle in the test suite.
+avoidance class of a pattern set.  All of these run on one incremental
+dynamic program over pattern prefixes (partial assignments of sequence
+values to pattern values), which the depth-first walk extends and undoes
+one digit at a time.  A naive scan over all index subsequences is kept as
+the test oracle.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "asc_count",
@@ -31,6 +32,7 @@ __all__ = [
     "valid_append_set",
     "enumerate_avoiders",
     "count_avoiders",
+    "visit_avoiders",
     "parse_sequence",
     "format_sequence",
     "parse_patterns",
@@ -93,7 +95,7 @@ def _normalize_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Word, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Containment: dynamic program over pattern prefixes.
+# Containment: one incremental dynamic program over pattern prefixes.
 #
 # A partial match of pattern p is an assignment pm of sequence values to the
 # distinct pattern values used by a prefix of p, realised by some increasing
@@ -102,140 +104,22 @@ def _normalize_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Word, ...]:
 # filled consumes one more sequence element as position j; the element must
 # equal pm[p[j]] if that value is already assigned, and otherwise must lie
 # strictly between the nearest assigned values below and above p[j].
+#
+# A tracker keeps every partial match of its pattern against the word pushed
+# so far, bucketed by the digit each match would consume next.  Matches with
+# k-1 positions filled feed a counter per digit, shared by all trackers of a
+# pattern set: forbid[d] > 0 iff appending d completes some pattern.  The
+# structure only grows when a digit is pushed (old subsequences stay
+# subsequences), so undo just pops the additions recorded on the push's
+# trail.  contains, valid_append_set and the depth-first walk all read
+# forbid; digits must lie in 0..max_digit.
 # ---------------------------------------------------------------------------
-
-
-def _accepts(pm: tuple, c: int, x: int) -> bool:
-    v = pm[c]
-    if v is not None:
-        return x == v
-    for cc in range(c - 1, -1, -1):
-        w = pm[cc]
-        if w is not None:
-            if x <= w:
-                return False
-            break
-    for cc in range(c + 1, len(pm)):
-        w = pm[cc]
-        if w is not None:
-            if x >= w:
-                return False
-            break
-    return True
 
 
 def _extend(pm: tuple, c: int, x: int) -> tuple:
     if pm[c] is not None:
         return pm
     return pm[:c] + (x,) + pm[c + 1 :]
-
-
-def _prefix_states(word: Word, pattern: Word) -> list[set]:
-    """Sets of partial-match assignments of pattern against word, by prefix length."""
-    k = len(pattern)
-    empty = (None,) * (max(pattern) + 1)
-    levels: list[set] = [set() for _ in range(k)]
-    for x in word:
-        for j in range(k - 1, 0, -1):
-            cj = pattern[j]
-            grown = {_extend(pm, cj, x) for pm in levels[j] if _accepts(pm, cj, x)}
-            if j + 1 < k:
-                levels[j + 1] |= grown
-        levels[1].add(_extend(empty, pattern[0], x))
-    return levels
-
-
-def contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
-    """True iff some subsequence of word reduces to pattern."""
-    w = tuple(word)
-    p = _check_pattern(pattern)
-    k = len(p)
-    if len(w) < k:
-        return False
-    if k == 1:
-        return True
-    empty = (None,) * (max(p) + 1)
-    levels: list[set] = [set() for _ in range(k)]
-    for x in w:
-        for j in range(k - 1, 0, -1):
-            cj = p[j]
-            hits = [pm for pm in levels[j] if _accepts(pm, cj, x)]
-            if j == k - 1:
-                if hits:
-                    return True
-            else:
-                levels[j + 1].update(_extend(pm, cj, x) for pm in hits)
-        levels[1].add(_extend(empty, p[0], x))
-    return False
-
-
-def contains_naive(word: Sequence[int], pattern: Sequence[int]) -> bool:
-    """Containment by exhaustive scan over index subsequences (test oracle)."""
-    w = tuple(word)
-    p = _check_pattern(pattern)
-    if len(w) < len(p):
-        return False
-    return any(reduce(sub) == p for sub in combinations(w, len(p)))
-
-
-def extends_without_pattern(
-    seq: Sequence[int], d: int, patterns: Iterable[Sequence[int]]
-) -> bool:
-    """Can digit d be appended to seq without creating any pattern in B?
-
-    Assumes seq itself avoids every pattern in B, so only occurrences that
-    end at the appended digit need to be ruled out.
-    """
-    w = tuple(seq)
-    if d < 0 or d > asc_count(w) + 1:
-        raise ValueError(f"digit {d} is outside the ascent bound for {w}")
-    for p in _normalize_patterns(patterns):
-        k = len(p)
-        if k == 1:
-            return False
-        if len(w) + 1 < k:
-            continue
-        levels = _prefix_states(w, p)
-        ck = p[k - 1]
-        if any(_accepts(pm, ck, d) for pm in levels[k - 1]):
-            return False
-    return True
-
-
-def valid_append_set(
-    seq: Sequence[int], patterns: Iterable[Sequence[int]]
-) -> tuple[int, ...]:
-    """All digits whose append keeps the sequence inside the avoidance class.
-
-    Returns the digits in increasing order.  The last digit of seq is always
-    a member: repeating it creates no ascent and no new pattern occurrence.
-    """
-    w = tuple(seq)
-    B = _normalize_patterns(patterns)
-    cands = range(asc_count(w) + 2)
-    if any(len(p) == 1 for p in B):
-        return ()
-    keep = set(cands)
-    for p in B:
-        k = len(p)
-        if len(w) + 1 < k:
-            continue
-        levels = _prefix_states(w, p)
-        ck = p[k - 1]
-        keep -= {d for d in cands if any(_accepts(pm, ck, d) for pm in levels[k - 1])}
-    return tuple(sorted(keep))
-
-
-# ---------------------------------------------------------------------------
-# Depth-first enumeration.
-#
-# The DFS keeps, for every pattern, the full set of partial matches against
-# the current sequence, bucketed by the digit each match would consume next.
-# The structure only grows when a digit is appended (old subsequences stay
-# subsequences), so backtracking just pops the additions recorded on a per-
-# push trail.  A shared counter per digit tells in O(1) whether appending it
-# would complete any forbidden pattern.
-# ---------------------------------------------------------------------------
 
 
 class _PatternTracker:
@@ -308,12 +192,93 @@ class _PatternTracker:
                     forbid[dd] -= 1
 
 
-def _walk(n_max: int, patterns: tuple[Word, ...], want_length: int | None):
+def contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
+    """True iff some subsequence of word reduces to pattern."""
+    p = _check_pattern(pattern)
+    if len(word) < len(p):
+        return False
+    if len(p) == 1:
+        return True
+    # reducing first keeps every digit a valid bucket index
+    w = reduce(word)
+    max_digit = max(w)
+    tracker = _PatternTracker(p, max_digit)
+    forbid = [0] * (max_digit + 1)
+    for x in w:
+        if forbid[x]:
+            return True
+        tracker.push(x, max_digit, forbid)
+    return False
+
+
+def contains_naive(word: Sequence[int], pattern: Sequence[int]) -> bool:
+    """Containment by exhaustive scan over index subsequences (test oracle)."""
+    w = tuple(word)
+    p = _check_pattern(pattern)
+    if len(w) < len(p):
+        return False
+    return any(reduce(sub) == p for sub in combinations(w, len(p)))
+
+
+def extends_without_pattern(
+    seq: Sequence[int], d: int, patterns: Iterable[Sequence[int]]
+) -> bool:
+    """Can digit d be appended to seq without creating any pattern in B?
+
+    Assumes seq itself avoids every pattern in B, so only occurrences that
+    end at the appended digit need to be ruled out.
+    """
+    w = tuple(seq)
+    if d < 0 or d > asc_count(w) + 1:
+        raise ValueError(f"digit {d} is outside the ascent bound for {w}")
+    return d in valid_append_set(w, patterns)
+
+
+def valid_append_set(
+    seq: Sequence[int], patterns: Iterable[Sequence[int]]
+) -> tuple[int, ...]:
+    """All digits whose append keeps the sequence inside the avoidance class.
+
+    Returns the digits in increasing order.  The last digit of seq is always
+    a member: repeating it creates no ascent and no new pattern occurrence.
+    """
+    w = tuple(seq)
+    B = _normalize_patterns(patterns)
+    top = asc_count(w) + 1
+    if any(len(p) == 1 for p in B):
+        return ()
+    # shift so that every digit of seq and every candidate is a bucket index
+    lo = min(0, *w)
+    max_digit = max(top, *w) - lo
+    trackers = [_PatternTracker(p, max_digit) for p in B]
+    forbid = [0] * (max_digit + 1)
+    for x in w:
+        for t in trackers:
+            t.push(x - lo, max_digit, forbid)
+    return tuple(d for d in range(top + 1) if not forbid[d - lo])
+
+
+# ---------------------------------------------------------------------------
+# Depth-first enumeration: one tracker per pattern follows the current
+# sequence, pushing a digit before descending and undoing it on the way back,
+# so every node's appendable digits are read off forbid.
+# ---------------------------------------------------------------------------
+
+
+def _walk(
+    n_max: int,
+    patterns: tuple[Word, ...],
+    want_length: int | None,
+    visit: Callable[[Word, Word], None] | None = None,
+):
     """DFS over the avoidance class up to length n_max.
 
     Returns (counts, collected): counts[n] is the number of avoiders of
     length n; collected holds the avoiders of length want_length in
-    lexicographic order (empty when want_length is None).
+    lexicographic order (empty when want_length is None).  When visit is
+    given it is called as visit(seq, appendable) for every avoider of length
+    at most n_max, in lexicographic order; the walk then also pushes the
+    avoiders of length n_max, to read their appendable digits.
     """
     counts = [0] * (n_max + 1)
     collected: list[Word] = []
@@ -321,8 +286,10 @@ def _walk(n_max: int, patterns: tuple[Word, ...], want_length: int | None):
         return counts, collected
     if any(len(p) == 1 for p in patterns):
         return counts, collected  # the single-value pattern occurs in every word
-    max_digit = n_max - 1
-    trackers = [_PatternTracker(p, max_digit) for p in patterns if len(p) <= n_max]
+    # longest word whose digits the trackers must see
+    reach = n_max if visit is None else n_max + 1
+    max_digit = reach - 1
+    trackers = [_PatternTracker(p, max_digit) for p in patterns if len(p) <= reach]
     forbid = [0] * (max_digit + 1)
     seq = [0]
     for t in trackers:
@@ -332,14 +299,17 @@ def _walk(n_max: int, patterns: tuple[Word, ...], want_length: int | None):
         collected.append((0,))
 
     def rec(depth: int, asc: int) -> None:
-        last = seq[-1]
-        for d in range(asc + 2):
-            if forbid[d]:
-                continue
-            counts[depth + 1] += 1
-            if want_length == depth + 1:
-                collected.append(tuple(seq) + (d,))
-            if depth + 1 < n_max:
+        kids = [d for d in range(asc + 2) if not forbid[d]]
+        if visit is not None:
+            visit(tuple(seq), tuple(kids))
+            if depth == n_max:
+                return
+        counts[depth + 1] += len(kids)
+        if want_length == depth + 1:
+            collected.extend(tuple(seq) + (d,) for d in kids)
+        if depth + 1 < reach:
+            last = seq[-1]
+            for d in kids:
                 trails = [t.push(d, max_digit, forbid) for t in trackers]
                 seq.append(d)
                 rec(depth + 1, asc + 1 if d > last else asc)
@@ -347,7 +317,7 @@ def _walk(n_max: int, patterns: tuple[Word, ...], want_length: int | None):
                 for t, tr in zip(trackers, trails):
                     t.undo(tr, forbid)
 
-    if n_max > 1:
+    if reach > 1:
         rec(1, 0)
     return counts, collected
 
@@ -381,6 +351,17 @@ def count_avoiders(n_max: int, patterns: Iterable[Sequence[int]]) -> list[int]:
         cached = counts[1:]
         _COUNT_CACHE[B] = cached
     return list(cached[:n_max])
+
+
+def visit_avoiders(
+    n_max: int,
+    patterns: Iterable[Sequence[int]],
+    visit: Callable[[Word, Word], None],
+) -> None:
+    """Call visit(seq, appendable) for every avoider of length at most n_max,
+    in lexicographic order (a parent before its children); appendable is
+    valid_append_set(seq, patterns), read off the walk at no extra cost."""
+    _walk(n_max, _normalize_patterns(patterns), None, visit)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ __all__ = [
     "TripleLevelTables",
     "split_sets",
     "triple_label",
+    "triple_label_from_appendable",
     "triple_children",
     "simulate_0021_levels",
     "triple_recurrence_levels",
@@ -86,8 +87,14 @@ def split_sets(seq: Sequence[int]) -> AppendSplit:
     smallest repeated digit of seq; it is empty when no digit repeats.
     """
     w = _check_avoider(seq)
-    appendable = valid_append_set(w, (QUAD_PATTERN,))
-    repeated = [d for d in set(w) if w.count(d) > 1]
+    return _split_from_appendable(w, valid_append_set(w, (QUAD_PATTERN,)))
+
+
+def _split_from_appendable(
+    seq: Sequence[int], appendable: Sequence[int]
+) -> AppendSplit:
+    """split_sets of an avoider whose appendable digits are already known."""
+    repeated = [d for d in set(seq) if seq.count(d) > 1]
     if repeated:
         srd = min(repeated)
         inc = tuple(d for d in appendable if d > srd)
@@ -100,14 +107,19 @@ def split_sets(seq: Sequence[int]) -> AppendSplit:
 def triple_label(seq: Sequence[int]) -> tuple[int, int, int]:
     """Label (p, q, r): reduced last digit, |unrestricted|, |increasing|.
 
-    The reduction relabels the union of the two appendable parts and the
-    last digit jointly.
+    The last digit is always appendable, so p is its rank among the
+    appendable digits.
     """
     w = _check_avoider(seq)
-    split = split_sets(w)
-    union = sorted(set(split.unrestricted) | set(split.increasing) | {w[-1]})
-    rank = {v: i for i, v in enumerate(union)}
-    return rank[w[-1]], len(split.unrestricted), len(split.increasing)
+    return triple_label_from_appendable(w, valid_append_set(w, (QUAD_PATTERN,)))
+
+
+def triple_label_from_appendable(
+    seq: Sequence[int], appendable: Sequence[int]
+) -> tuple[int, int, int]:
+    """triple_label of an avoider whose appendable digits are already known."""
+    split = _split_from_appendable(seq, appendable)
+    return appendable.index(seq[-1]), len(split.unrestricted), len(split.increasing)
 
 
 def _classify(label: tuple[int, int, int]) -> int:

@@ -29,6 +29,7 @@ __all__ = [
     "RelationReport",
     "RELATION_NAMES",
     "pair_label",
+    "pair_label_from_appendable",
     "pair_children",
     "simulate_pair_levels",
     "pair_recurrence_levels",
@@ -77,8 +78,14 @@ def pair_label(seq: Sequence[int]) -> tuple[int, int]:
     for p in PAIR_PATTERNS:
         if contains(w, p):
             raise ValueError(f"{w} contains {p}; it is outside the avoidance class")
-    appendable = valid_append_set(w, PAIR_PATTERNS)
-    return appendable.index(w[-1]), len(appendable) - 1
+    return pair_label_from_appendable(w, valid_append_set(w, PAIR_PATTERNS))
+
+
+def pair_label_from_appendable(
+    seq: Sequence[int], appendable: Sequence[int]
+) -> tuple[int, int]:
+    """pair_label of an avoider whose appendable digits are already known."""
+    return appendable.index(seq[-1]), len(appendable) - 1
 
 
 def _check_label(label: tuple[int, int]) -> tuple[int, int]:

@@ -482,21 +482,6 @@ class MSeries:
             out_var, half, [self.terms.get((n, n), F0) for n in range(half + 1)]
         )
 
-    def as_useries(self, var: str | None = None) -> USeries:
-        """View a series supported on one variable as a USeries."""
-        idx = [i for i in range(len(self.vars)) if any(e[i] for e in self.terms)]
-        if len(idx) > 1:
-            raise ValueError("series involves more than one variable")
-        if var is None:
-            var = self.vars[idx[0]] if idx else self.vars[0]
-        i = self.vars.index(var)
-        if any(e[j] for e in self.terms for j in range(len(self.vars)) if j != i):
-            raise ValueError(f"series has terms outside variable {var!r}")
-        out = USeries.zero(var, self.order)
-        for e, c in self.terms.items():
-            out.coeffs[e[i]] = c
-        return out
-
     def __repr__(self) -> str:
         items = sorted(self.terms.items())[:6]
         parts = [f"{c}*{e}" for e, c in items] or ["0"]
@@ -515,7 +500,6 @@ class MSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MSeries":
-        out = cls.zero(tuple(d["variables"]), d["order"])
         terms = {}
         for *exps, val in d["terms"]:
             terms[tuple(exps)] = Fraction(val)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import gentree_0021 as g0021
 from . import gentree_pair as gpair
-from .core import count_avoiders, enumerate_avoiders, valid_append_set
+from .core import count_avoiders, visit_avoiders
 from .series import (
     USeries,
     a007317,
@@ -109,6 +109,56 @@ def _add(records: list[CheckRecord], check_id: str, scope: str, failures: list, 
         )
     else:
         records.append(CheckRecord(check_id, scope, "pass", note))
+
+
+def _pentagon(records, prefix, patterns, n_max, recur_max, sim, recur) -> None:
+    """Brute force, simulation, recurrence and formula agree on the counts."""
+    brute = count_avoiders(n_max, patterns)
+    bad = [
+        (n, brute[n - 1], sim[n - 1].total(), recur[n - 1].total(), a007317(n))
+        for n in range(1, n_max + 1)
+        if not brute[n - 1] == sim[n - 1].total() == recur[n - 1].total() == a007317(n)
+    ]
+    _add(records, f"{prefix}.counts.pentagon", f"n<={n_max}", bad,
+         f"counts {brute[:7]}...")
+
+    bad = [
+        (n, recur[n - 1].total(), a007317(n))
+        for n in range(1, recur_max + 1)
+        if recur[n - 1].total() != a007317(n)
+    ]
+    _add(records, f"{prefix}.counts.recurrence_vs_formula", f"n<={recur_max}", bad)
+
+
+def _rule_vs_definition(records, prefix, patterns, oracle_max, label_of, children) -> None:
+    """Child labels from the definition equal the succession rule's output.
+
+    One walk to length oracle_max + 1 visits every avoider with its append
+    set, from which label_of gives its label.  The open parents along the
+    DFS path are checked as the walk leaves them.
+    """
+    bad = []
+    path: list[tuple] = []  # (avoider, rule's children, labels of children seen)
+
+    def close() -> None:
+        a, want, got = path.pop()
+        if got != want:
+            bad.append((a, sorted(got.items()), sorted(want.items())))
+
+    def visit(seq, appendable) -> None:
+        while path and len(path[-1][0]) >= len(seq):
+            close()
+        label = label_of(seq, appendable)
+        if path:
+            path[-1][2][label] += 1
+        if len(seq) <= oracle_max:
+            path.append((seq, children(label), Counter()))
+
+    visit_avoiders(oracle_max + 1, patterns, visit)
+    while path:
+        close()
+    bad.sort(key=lambda b: (len(b[0]), b[0]))  # shortest, then lexicographic
+    _add(records, f"{prefix}.labels.rule_vs_definition", f"n<={oracle_max}", bad)
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +282,9 @@ def crosscheck_pair(
     golden_tables = GOLDEN_PAIR_ARRAYS if golden_tables is None else golden_tables
     records: list[CheckRecord] = []
 
-    brute = count_avoiders(n_max, gpair.PAIR_PATTERNS)
     sim = gpair.simulate_pair_levels(n_max)
     recur = gpair.pair_recurrence_levels(max(recur_max, gf_order // 2))
-    bad = [
-        (n, brute[n - 1], sim[n - 1].total(), recur[n - 1].total(), a007317(n))
-        for n in range(1, n_max + 1)
-        if not brute[n - 1] == sim[n - 1].total() == recur[n - 1].total() == a007317(n)
-    ]
-    _add(records, "pair.counts.pentagon", f"n<={n_max}", bad,
-         f"counts {brute[:7]}...")
-
-    bad = [
-        (n, recur[n - 1].total(), a007317(n))
-        for n in range(1, recur_max + 1)
-        if recur[n - 1].total() != a007317(n)
-    ]
-    _add(records, "pair.counts.recurrence_vs_formula", f"n<={recur_max}", bad)
+    _pentagon(records, "pair", gpair.PAIR_PATTERNS, n_max, recur_max, sim, recur)
 
     golden_hi = min(n_max, max(golden_tables))
     bad = []
@@ -270,17 +306,8 @@ def crosscheck_pair(
         "all seven identities hold",
     )
 
-    bad = []
-    for n in range(1, oracle_max + 1):
-        for a in enumerate_avoiders(n, gpair.PAIR_PATTERNS):
-            got = Counter(
-                gpair.pair_label(a + (d,))
-                for d in valid_append_set(a, gpair.PAIR_PATTERNS)
-            )
-            want = gpair.pair_children(gpair.pair_label(a))
-            if got != want:
-                bad.append((a, sorted(got.items()), sorted(want.items())))
-    _add(records, "pair.labels.rule_vs_definition", f"n<={oracle_max}", bad)
+    _rule_vs_definition(records, "pair", gpair.PAIR_PATTERNS, oracle_max,
+                        gpair.pair_label_from_appendable, gpair.pair_children)
 
     C = build_closed_form("C_pair", gf_order)
     D = build_closed_form("D_pair", gf_order)
@@ -367,23 +394,9 @@ def crosscheck_0021(
     records: list[CheckRecord] = []
     pattern = (g0021.QUAD_PATTERN,)
 
-    brute = count_avoiders(n_max, pattern)
     sim = g0021.simulate_0021_levels(n_max)
     recur = g0021.triple_recurrence_levels(max(recur_max, gf_order // 2))
-    bad = [
-        (n, brute[n - 1], sim[n - 1].total(), recur[n - 1].total(), a007317(n))
-        for n in range(1, n_max + 1)
-        if not brute[n - 1] == sim[n - 1].total() == recur[n - 1].total() == a007317(n)
-    ]
-    _add(records, "t0021.counts.pentagon", f"n<={n_max}", bad,
-         f"counts {brute[:7]}...")
-
-    bad = [
-        (n, recur[n - 1].total(), a007317(n))
-        for n in range(1, recur_max + 1)
-        if recur[n - 1].total() != a007317(n)
-    ]
-    _add(records, "t0021.counts.recurrence_vs_formula", f"n<={recur_max}", bad)
+    _pentagon(records, "t0021", pattern, n_max, recur_max, sim, recur)
 
     bad = []
     for n in range(1, min(n_max, len(sim)) + 1):
@@ -425,16 +438,8 @@ def crosscheck_0021(
     ]
     _add(records, "t0021.relations.single_increasing_node", f"n<={recur_max}", bad)
 
-    bad = []
-    for n in range(1, oracle_max + 1):
-        for a in enumerate_avoiders(n, pattern):
-            got = Counter(
-                g0021.triple_label(a + (d,)) for d in valid_append_set(a, pattern)
-            )
-            want = g0021.triple_children(g0021.triple_label(a))
-            if got != want:
-                bad.append((a, sorted(got.items()), sorted(want.items())))
-    _add(records, "t0021.labels.rule_vs_definition", f"n<={oracle_max}", bad)
+    _rule_vs_definition(records, "t0021", pattern, oracle_max,
+                        g0021.triple_label_from_appendable, g0021.triple_children)
 
     C = build_closed_form("C_0021", gf_order)
     D = build_closed_form("D_0021", gf_order)

@@ -137,6 +137,7 @@ def test_usage_errors_exit_2():
     assert run(["count", "--patterns", "12", "--n", "3"])[0] == 2  # unreduced
     assert run(["count", "--patterns", "0021", "--n", "0"])[0] == 2
     assert run(["verify", "--suite", "pair", "--n-max", "10", "--order", "5"])[0] == 2
+    assert run(["verify", "--suite", "wilf", "--n-max", "0"])[0] == 2
     assert run(["coeffs", "--gf", "nope", "--order", "5"])[0] == 2
 
 

@@ -72,7 +72,8 @@ def test_contains_matches_naive_oracle_exhaustively():
 def test_contains_matches_naive_on_random_words():
     rng = random.Random(7)
     for _ in range(300):
-        w = tuple(rng.randrange(0, 5) for _ in range(rng.randrange(1, 9)))
+        # negative and sparse values too: contains reduces before bucketing
+        w = tuple(rng.randrange(-3, 12) for _ in range(rng.randrange(1, 9)))
         p = core.reduce(tuple(rng.randrange(0, 3) for _ in range(rng.randrange(1, 5))))
         assert core.contains(w, p) == core.contains_naive(w, p), (w, p)
 
@@ -102,11 +103,12 @@ def test_extends_without_pattern_examples():
 
 
 def test_extends_matches_contains_on_all_small_avoiders():
+    # the naive oracle, not contains, which shares the engine under test
     for B in ([(2, 0, 1), (2, 1, 0)], [(0, 0, 2, 1)]):
-        for n in range(1, 9):
+        for n in range(1, 8):
             for a in core.enumerate_avoiders(n, B):
                 for d in range(core.asc_count(a) + 2):
-                    expected = not any(core.contains(a + (d,), p) for p in B)
+                    expected = not any(core.contains_naive(a + (d,), p) for p in B)
                     assert core.extends_without_pattern(a, d, B) == expected
 
 
@@ -116,6 +118,10 @@ def test_valid_append_set_examples():
     assert core.valid_append_set((0,), [(2, 0, 1), (2, 1, 0)]) == (0, 1)
     assert core.valid_append_set((0, 0), [(2, 0, 1), (2, 1, 0)]) == (0, 1)
     assert core.valid_append_set((0, 1), [(2, 0, 1), (2, 1, 0)]) == (0, 1, 2)
+    # words outside the class, with negative and sparse values
+    assert core.valid_append_set((3, 7, -1, 2), [(2, 0, 1), (2, 1, 0)]) == ()
+    assert core.valid_append_set((1, -3, 3, 5), [(0, 0, 2, 1)]) == (0, 1, 2, 3)
+    assert core.valid_append_set((0, 9, 9), [(0, 0, 2, 1)]) == (0, 1, 2)
 
 
 def test_repeating_last_digit_always_allowed():

@@ -67,6 +67,54 @@ def test_mutated_0021_golden_is_reported():
     assert "(6, 'g1', 1, 2)" in failing[0].detail
 
 
+def _record(report, check_id):
+    return next(r for r in report.records if r.check_id == check_id)
+
+
+def test_wrong_pair_rule_fails_rule_vs_definition(monkeypatch):
+    real = gp.pair_children
+
+    def wrong(label):
+        children = real(label)
+        if label == (1, 3):
+            children[(0, 3)] += 1  # one child too many
+        return children
+
+    monkeypatch.setattr(gp, "pair_children", wrong)
+    report = verify.crosscheck_pair(
+        n_max=5, gf_order=10, relations_max=5, total_max=10, oracle_max=6
+    )
+    rec = _record(report, "pair.labels.rule_vs_definition")
+    assert not rec.passed
+    # the shortest, then lexicographically first, failing avoider
+    assert rec.detail == (
+        "first counterexample: ((0, 1, 0, 1), "
+        "[((0, 3), 1), ((1, 3), 1), ((2, 4), 1), ((3, 4), 1)], "
+        "[((0, 3), 2), ((1, 3), 1), ((2, 4), 1), ((3, 4), 1)])"
+    )
+
+
+def test_wrong_0021_rule_fails_rule_vs_definition(monkeypatch):
+    real = gt.triple_children
+
+    def wrong(label):
+        children = real(label)
+        if label == (1, 1, 2):
+            children[(0, 1, 2)] -= 1  # one child missing
+        return +children
+
+    monkeypatch.setattr(gt, "triple_children", wrong)
+    report = verify.crosscheck_0021(
+        n_max=5, gf_order=10, recur_max=8, total_max=10, oracle_max=6
+    )
+    rec = _record(report, "t0021.labels.rule_vs_definition")
+    assert not rec.passed
+    assert rec.detail == (
+        "first counterexample: ((0, 0, 1), "
+        "[((0, 1, 2), 1), ((1, 1, 2), 2)], [((1, 1, 2), 2)])"
+    )
+
+
 def test_reports_are_deterministic_and_sorted():
     a = verify.crosscheck_pair(n_max=5, gf_order=10, relations_max=5, total_max=10)
     b = verify.crosscheck_pair(n_max=5, gf_order=10, relations_max=5, total_max=10)
