@@ -191,25 +191,16 @@ def _cmd_verify(args, parser) -> int:
         parser.error("--n-max must be at least 1")
     if args.order is not None and args.n_max is not None and args.order < args.n_max:
         parser.error("--order must be at least --n-max")
+    # pass only the flags given, so the defaults live in verify.py alone
+    depth = {} if args.n_max is None else {"n_max": args.n_max}
+    order = {} if args.order is None else {"gf_order": args.order}
     reports = []
     if args.suite in ("pair", "all"):
-        reports.append(
-            crosscheck_pair(
-                n_max=args.n_max if args.n_max is not None else 12,
-                gf_order=args.order if args.order is not None else 40,
-            )
-        )
+        reports.append(crosscheck_pair(**depth, **order))
     if args.suite in ("0021", "all"):
-        reports.append(
-            crosscheck_0021(
-                n_max=args.n_max if args.n_max is not None else 12,
-                gf_order=args.order if args.order is not None else 40,
-            )
-        )
+        reports.append(crosscheck_0021(**depth, **order))
     if args.suite in ("wilf", "all"):
-        reports.append(
-            wilf_equivalence_check(args.n_max if args.n_max is not None else 11)
-        )
+        reports.append(wilf_equivalence_check(**depth))
     report = reports[0] if len(reports) == 1 else combine_reports(reports)
     text = report.to_json() if args.format == "json" else report.to_text()
     _write_out(text, args.out)
@@ -291,6 +282,11 @@ def main(argv=None) -> int:
         parser.error("--n must be at least 1")
     if getattr(args, "order", None) is not None and args.order < 0:
         parser.error("--order must be non-negative")
+    if args.out is not None:
+        if os.path.isdir(args.out):
+            parser.error(f"--out {args.out}: is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            parser.error(f"--out {args.out}: no such directory")
     return args.func(args, parser)
 
 

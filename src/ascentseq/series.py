@@ -11,8 +11,11 @@ On top of the ring operations sit the closed forms used by the avoidance
 counts: the column and diagonal generating functions of the pair tree,
 the g0/g1 generating functions of the 0021 tree, the class totals, and
 the two univariate series f and g tied to the column structure of the g0
-arrays.  All of them are radical expressions over sqrt(5t^2 - 6t + 1),
-expanded here by Newton iteration, exact inversion, and exact division.
+arrays.  All of them are rational expressions over the one univariate
+radical sqrt(5t^2 - 6t + 1), t being y or z.  The radical is expanded
+once as a USeries by Newton iteration and, for the multivariate forms,
+lifted into the MSeries ring; the rest is exact multiplication and
+inversion.
 `residual` substitutes the closed forms into the functional equations
 they are supposed to solve, with denominators cleared to polynomial
 form, and returns what should be the zero series.
@@ -28,11 +31,6 @@ __all__ = [
     "InexactDivisionError",
     "USeries",
     "MSeries",
-    "invert_unit",
-    "sqrt_unit",
-    "exact_divide",
-    "substitute",
-    "diagonal",
     "catalan",
     "binom",
     "a007317",
@@ -99,12 +97,6 @@ class USeries:
     def valuation(self) -> int | None:
         for k, c in enumerate(self.coeffs):
             if c:
-                return k
-        return None
-
-    def degree(self) -> int | None:
-        for k in range(self.order, -1, -1):
-            if self.coeffs[k]:
                 return k
         return None
 
@@ -239,14 +231,6 @@ class USeries:
             (k,) = exps
             out.coeffs[k] = Fraction(val)
         return out
-
-
-def _useries_val_divide(num: USeries, den: USeries) -> USeries:
-    """num / den where den may have positive valuation; exact or raises."""
-    v = den.valuation()
-    if v is None:
-        raise ValueError("division by the zero series")
-    return num.shift_down(v) * den.shift_down(v).invert_unit()
 
 
 # ---------------------------------------------------------------------------
@@ -428,19 +412,6 @@ class MSeries:
             out.update(sl)
         return self._wrap(out)
 
-    def sqrt_unit(self) -> "MSeries":
-        """Square root with constant term 1, by Newton iteration."""
-        if self.terms.get(self._zero_exp(), F0) != 1:
-            raise ValueError("sqrt requires constant term 1")
-        s = MSeries.one(self.vars, 0)
-        m = 0
-        while m < self.order:
-            m = min(2 * m + 1, self.order)
-            s_ext = MSeries(self.vars, m, s.terms)
-            a_trunc = self.truncate(m)
-            s = (s_ext + a_trunc * s_ext.invert_unit()).scale(Fraction(1, 2))
-        return s
-
     def substitute(self, var: str, value: Union[int, str]) -> "MSeries":
         """Set a variable to 1, or rename it onto another variable.
 
@@ -507,119 +478,6 @@ class MSeries:
 
 
 # ---------------------------------------------------------------------------
-# Exact division
-# ---------------------------------------------------------------------------
-
-
-def _homog_divide(P: dict[Exp, Fraction], B: dict[Exp, Fraction]) -> dict[Exp, Fraction]:
-    """Exact division of homogeneous P by homogeneous B, or raise.
-
-    Repeatedly cancels the lexicographically largest term; for a single
-    divisor the remainder vanishes exactly when B divides P.
-    """
-    if not P:
-        return {}
-    eb = max(B)
-    cb = B[eb]
-    rem = dict(P)
-    quot: dict[Exp, Fraction] = {}
-    while rem:
-        e = max(rem)
-        m = tuple(x - y for x, y in zip(e, eb))
-        if any(x < 0 for x in m):
-            raise InexactDivisionError(f"term {e} is not divisible by {eb}")
-        c = rem[e] / cb
-        quot[m] = c
-        for e2, c2 in B.items():
-            key = tuple(x + y for x, y in zip(m, e2))
-            nv = rem.get(key, F0) - c * c2
-            if nv:
-                rem[key] = nv
-            else:
-                rem.pop(key, None)
-    return quot
-
-
-def _mseries_exact_divide(a: MSeries, b: MSeries) -> MSeries:
-    a._check_compatible(b)
-    if not b.terms:
-        raise ValueError("division by the zero polynomial")
-    b_sl = b._slices()
-    v = min(b_sl)
-    deg_b = max(b_sl)
-    if any(sum(e) < v for e in a.terms):
-        raise InexactDivisionError(
-            f"dividend has terms below total degree {v} of the divisor"
-        )
-    bv = dict(b_sl[v])
-    higher = {u: dict(sl) for u, sl in ((u, b_sl[u]) for u in b_sl) if u > v}
-    a_sl = {d: dict(sl) for d, sl in a._slices().items()}
-    q_sl: dict[int, dict[Exp, Fraction]] = {}
-    for d in range(0, a.order - v + 1):
-        rhs = dict(a_sl.get(d + v, {}))
-        for u, bu in higher.items():
-            qs = q_sl.get(d + v - u)
-            if not qs:
-                continue
-            for eb, cb in bu.items():
-                for eq, cq in qs.items():
-                    e = tuple(x + y for x, y in zip(eb, eq))
-                    nv = rhs.get(e, F0) - cb * cq
-                    if nv:
-                        rhs[e] = nv
-                    else:
-                        rhs.pop(e, None)
-        q_sl[d] = _homog_divide(rhs, bv)
-    out: dict[Exp, Fraction] = {}
-    for sl in q_sl.values():
-        out.update(sl)
-    return MSeries(a.vars, a.order - deg_b, out)
-
-
-def _useries_exact_divide(a: USeries, b: USeries) -> USeries:
-    a._check_compatible(b)
-    v = b.valuation()
-    if v is None:
-        raise ValueError("division by the zero polynomial")
-    deg_b = b.degree()
-    q = _useries_val_divide(a, b)
-    return q.truncate(a.order - deg_b)
-
-
-def exact_divide(a, b):
-    """Quotient a / b for a polynomial divisor b, exact through the
-
-    truncation or raising InexactDivisionError; the result is truncated to
-    order(a) - deg(b)."""
-    if isinstance(a, USeries) and isinstance(b, USeries):
-        return _useries_exact_divide(a, b)
-    if isinstance(a, MSeries) and isinstance(b, MSeries):
-        return _mseries_exact_divide(a, b)
-    raise TypeError("operands must both be USeries or both MSeries")
-
-
-# ---------------------------------------------------------------------------
-# Module-level operation wrappers
-# ---------------------------------------------------------------------------
-
-
-def invert_unit(a):
-    return a.invert_unit()
-
-
-def sqrt_unit(a):
-    return a.sqrt_unit()
-
-
-def substitute(a: MSeries, var: str, value: Union[int, str]) -> MSeries:
-    return a.substitute(var, value)
-
-
-def diagonal(a: MSeries, out_var: str = "z") -> USeries:
-    return a.diagonal(out_var)
-
-
-# ---------------------------------------------------------------------------
 # Reference sequences
 # ---------------------------------------------------------------------------
 
@@ -654,35 +512,23 @@ def a007317(n: int) -> int:
 # Closed forms
 # ---------------------------------------------------------------------------
 
-GF_NAMES = (
-    "C_pair",
-    "D_pair",
-    "C2",
-    "C_total_pair",
-    "C_0021",
-    "D_0021",
-    "total_0021",
-    "f",
-    "g",
-)
-
 
 def _radical_u(var: str, order: int) -> USeries:
     """sqrt(5 t^2 - 6 t + 1) as a univariate series."""
     return USeries.poly(var, order, {0: 1, 1: -6, 2: 5}).sqrt_unit()
 
 
-def _radical_m(variables: Sequence[str], order: int, var: str) -> MSeries:
-    """sqrt(5 t^2 - 6 t + 1) in variable var inside a multivariate ring."""
+def _lift(u: USeries, variables: Sequence[str], var: str) -> MSeries:
+    """The univariate series u, in variable var of a multivariate ring of
+    the same truncation order."""
     vs = tuple(variables)
     i = vs.index(var)
-
-    def mono(k: int) -> Exp:
+    terms = {}
+    for k, c in enumerate(u.coeffs):
         e = [0] * len(vs)
         e[i] = k
-        return tuple(e)
-
-    return MSeries.poly(vs, order, {mono(0): 1, mono(1): -6, mono(2): 5}).sqrt_unit()
+        terms[tuple(e)] = c
+    return MSeries(vs, u.order, terms)
 
 
 def _total_formula(var: str, order: int) -> USeries:
@@ -705,22 +551,24 @@ def _build_c2(order: int) -> USeries:
 def _build_f(order: int) -> USeries:
     rad = _radical_u("z", order + 1)
     num = USeries.poly("z", order + 1, {0: 1, 1: -1}) - rad
-    return exact_divide(num, USeries.poly("z", order + 1, {1: 2}))
+    return num.shift_down(1).scale(Fraction(1, 2))
 
 
 def _build_g(order: int) -> USeries:
+    # the last factor of den is -2 z^2 + O(z^3), so den has valuation 2:
+    # build two orders deeper and cancel z^2 from num and den
     n = order + 2
     rad = _radical_u("z", n)
     one_minus = USeries.poly("z", n, {0: 1, 1: -1}) + rad
     other = USeries.poly("z", n, {0: -1, 1: 3}) + rad
     den = one_minus * one_minus * one_minus * other
     num = USeries.poly("z", n, {2: -16, 3: 16})
-    return _useries_val_divide(num, den).truncate(order)
+    return num.shift_down(2) * den.shift_down(2).invert_unit()
 
 
 def _build_c_pair(order: int) -> MSeries:
     vs = ("x", "y")
-    rad = _radical_m(vs, order, "y")
+    rad = _lift(_radical_u("y", order), vs, "y")
     num = (
         rad * MSeries.poly(vs, order, {(1, 0): 1})
         + MSeries.poly(vs, order, {(1, 1): -1, (1, 0): 1, (0, 1): 2, (0, 0): -2})
@@ -733,7 +581,7 @@ def _build_c_pair(order: int) -> MSeries:
 
 def _build_d_pair(order: int) -> MSeries:
     vs = ("x", "y")
-    rad = _radical_m(vs, order, "y")
+    rad = _lift(_radical_u("y", order), vs, "y")
     inner = rad * MSeries.poly(vs, order, {(2, 1): 1}) + MSeries.poly(
         vs,
         order,
@@ -768,7 +616,7 @@ def _build_d_pair(order: int) -> MSeries:
 
 def _build_c_0021(order: int) -> MSeries:
     vs = ("x", "y", "z")
-    rad = _radical_m(vs, order, "z")
+    rad = _lift(_radical_u("z", order), vs, "z")
     w = (
         MSeries.poly(vs, order, {(0, 0, 0): 1, (0, 0, 1): -1, (0, 1, 1): -1}) * rad
         + MSeries.poly(vs, order, {(0, 0, 0): 1, (0, 0, 1): -3, (0, 1, 1): -1})
@@ -782,7 +630,7 @@ def _build_c_0021(order: int) -> MSeries:
 
 def _build_d_0021(order: int) -> MSeries:
     vs = ("x", "y", "z")
-    rad = _radical_m(vs, order, "z")
+    rad = _lift(_radical_u("z", order), vs, "z")
     w = rad * MSeries.poly(vs, order, {(0, 1, 0): 1}) + MSeries.poly(
         vs, order, {(0, 1, 1): 1, (0, 0, 1): -2, (0, 1, 0): -1, (0, 0, 0): 2}
     )
@@ -801,6 +649,8 @@ _BUILDERS = {
     "f": _build_f,
     "g": _build_g,
 }
+
+GF_NAMES = tuple(_BUILDERS)
 
 
 def build_closed_form(which: str, order: int):
@@ -821,8 +671,6 @@ def build_closed_form(which: str, order: int):
 # Functional-equation residuals
 # ---------------------------------------------------------------------------
 
-RESIDUAL_NAMES = ("pair_c", "pair_d", "t0021_c", "t0021_d")
-
 
 def _residual_pair(which: str, order: int) -> MSeries:
     vs = ("x", "y")
@@ -831,8 +679,7 @@ def _residual_pair(which: str, order: int) -> MSeries:
     one_minus_y = MSeries.poly(vs, order, {(0, 0): 1, (0, 1): -1})
     if which == "pair_c":
         # (1-x)(1-y) C + x(1-y) D = xy + x^2 (1-y) C2, both sides times (1-y)
-        c2 = _build_c2(order)
-        c2_m = MSeries.poly(vs, order, {(0, k): c for k, c in enumerate(c2.coeffs)})
+        c2_m = _lift(_build_c2(order), vs, "y")
         lhs = (
             MSeries.poly(vs, order, {(0, 0): 1, (1, 0): -1}) * one_minus_y * C
             + MSeries.poly(vs, order, {(1, 0): 1}) * one_minus_y * D
@@ -905,6 +752,16 @@ def _residual_0021_d(order: int) -> MSeries:
     return lhs - rhs
 
 
+_RESIDUALS = {
+    "pair_c": lambda order: _residual_pair("pair_c", order),
+    "pair_d": lambda order: _residual_pair("pair_d", order),
+    "t0021_c": _residual_0021_c,
+    "t0021_d": _residual_0021_d,
+}
+
+RESIDUAL_NAMES = tuple(_RESIDUALS)
+
+
 def residual(which: str, order: int) -> MSeries:
     """Substitute the closed forms into one functional equation and return
 
@@ -913,10 +770,8 @@ def residual(which: str, order: int) -> MSeries:
     (y-1), and the 0021 D-equation by (x-y).  A correct transcription
     yields the zero series through the requested order.
     """
-    if which in ("pair_c", "pair_d"):
-        return _residual_pair(which, order)
-    if which == "t0021_c":
-        return _residual_0021_c(order)
-    if which == "t0021_d":
-        return _residual_0021_d(order)
-    raise ValueError(f"unknown residual {which!r}; choose from {RESIDUAL_NAMES}")
+    try:
+        builder = _RESIDUALS[which]
+    except KeyError:
+        raise ValueError(f"unknown residual {which!r}; choose from {RESIDUAL_NAMES}")
+    return builder(order)

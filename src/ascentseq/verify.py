@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 from . import gentree_0021 as g0021
 from . import gentree_pair as gpair
 from .core import count_avoiders, visit_avoiders
-from .series import (
-    USeries,
-    a007317,
-    build_closed_form,
-    diagonal,
-    residual,
-)
+from .series import USeries, a007317, build_closed_form, residual
 
 __all__ = [
     "CheckRecord",
@@ -328,7 +322,7 @@ def crosscheck_pair(
             bad.append(("d-support", n, i, val, 0))
     _add(records, "pair.gf.coefficients", f"n<={depth}", bad)
 
-    diag = diagonal(C)
+    diag = C.diagonal()
     bad = [
         (n, diag.coeff(n)) for n in range(1, depth + 1) if diag.coeff(n) != 1
     ]

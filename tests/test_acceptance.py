@@ -16,8 +16,6 @@ from ascentseq.series import (
     USeries,
     a007317,
     build_closed_form,
-    diagonal,
-    exact_divide,
     residual,
 )
 
@@ -60,7 +58,7 @@ def test_criterion_03_seven_identities():
 
 
 def test_criterion_04_diagonal_ones():
-    diag = diagonal(build_closed_form("C_pair", 50))
+    diag = build_closed_form("C_pair", 50).diagonal()
     ok = diag.coeff(0) == 0 and all(diag.coeff(n) == 1 for n in range(1, 26))
     report(4, "diagonal coefficients of the pair column gf are all 1 (n <= 25)", ok)
 
@@ -166,7 +164,7 @@ def test_criterion_10_series_property_suite():
         b = USeries.poly(
             "z", 12, {0: rng.randrange(1, 5), 1: rng.randrange(-4, 4)}
         )
-        ok = ok and exact_divide(a * b, b) == a.truncate(12 - b.degree())
+        ok = ok and (a * b) * b.invert_unit() == a
     quad = USeries.poly("z", 64, {0: 1, 1: -6, 2: 5})
     s = quad.sqrt_unit()
     ok = ok and s * s == quad

@@ -132,13 +132,16 @@ def test_verify_suite_exit_codes():
     assert json.loads(out)["passed"] is True
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path):
     assert run([])[0] == 2
     assert run(["count", "--patterns", "12", "--n", "3"])[0] == 2  # unreduced
     assert run(["count", "--patterns", "0021", "--n", "0"])[0] == 2
     assert run(["verify", "--suite", "pair", "--n-max", "10", "--order", "5"])[0] == 2
     assert run(["verify", "--suite", "wilf", "--n-max", "0"])[0] == 2
     assert run(["coeffs", "--gf", "nope", "--order", "5"])[0] == 2
+    count = ["count", "--patterns", "201,210", "--n", "3", "--out"]
+    assert run(count + [str(tmp_path / "missing" / "x.txt")])[0] == 2
+    assert run(count + [str(tmp_path)])[0] == 2
 
 
 def test_out_file_written_atomically(tmp_path):

@@ -1,0 +1,94 @@
+"""Outside oracle for the closed forms: sympy expands each formula on its own.
+
+Univariate forms are expanded directly.  For the multivariate ones every
+variable v becomes s*v, so the coefficient of s^d is the homogeneous part
+of total degree d and the expansion in s to order N is exactly the
+total-degree truncation that MSeries keeps.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from ascentseq.series import GF_NAMES, USeries, build_closed_form
+
+sp = pytest.importorskip("sympy")
+
+x, y, z, s = sp.symbols("x y z s")
+
+
+def rad(t):
+    return sp.sqrt(1 - 6 * t + 5 * t**2)
+
+
+# name -> (formula, variables, order); the pair forms stop at order 7 to
+# keep sympy's bivariate expansion to about a second each
+FORMULAS = {
+    "C_pair": (
+        x * y * (x * rad(y) + (x - 2) * (1 - y))
+        / (2 * (x**2 * y + x * y - x - y + 1) * (y - 1)),
+        (x, y),
+        7,
+    ),
+    "D_pair": (
+        -x * y
+        * (x**2 * y * rad(y) + x**2 * y**2 - x**2 * y + 4 * x * y**2 - 6 * x * y
+           - 2 * y**2 + 2 * x + 4 * y - 2)
+        / (2 * (x**2 * y**2 - x**2 * y + x * y**2 - 2 * x * y - y**2 + x + 2 * y - 1)
+           * (y - 1)),
+        (x, y),
+        7,
+    ),
+    "C2": (-y * (y - 1 + rad(y)) / (2 * (1 - y) ** 2), (y,), 8),
+    "C_total_pair": ((y - 1 + rad(y)) / (2 * (y - 1)), (y,), 8),
+    "C_0021": (
+        2 * x * y**2 * z**3
+        / ((1 - x * z)
+           * ((1 - z - y * z) * rad(z) + (1 - 3 * z - y * z) * (1 - z))),
+        (x, y, z),
+        8,
+    ),
+    "D_0021": (
+        2 * x * y * z**2
+        / ((1 - x * z) * (y * rad(z) + y * z - 2 * z - y + 2)),
+        (x, y, z),
+        8,
+    ),
+    "total_0021": ((z - 1 + rad(z)) / (2 * (z - 1)), (z,), 8),
+    "f": ((1 - z - rad(z)) / (2 * z), (z,), 8),
+    "g": (
+        -16 * z**2 * (1 - z) / ((1 - z + rad(z)) ** 3 * (3 * z - 1 + rad(z))),
+        (z,),
+        8,
+    ),
+}
+
+
+def sympy_terms(expr, variables, order) -> dict:
+    """Nonzero coefficients of expr through total degree order, keyed like
+    the stored terms of USeries (by exponent) and MSeries (by tuple)."""
+    if len(variables) == 1:
+        (t,) = variables
+        poly = sp.Poly(sp.series(expr, t, 0, order + 1).removeO(), t)
+        return {m[0]: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()}
+    scaled = expr.subs({v: s * v for v in variables}, simultaneous=True)
+    poly = sp.Poly(sp.expand(sp.series(scaled, s, 0, order + 1).removeO()),
+                   s, *variables)
+    return {m[1:]: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()}
+
+
+def test_every_closed_form_has_a_formula():
+    assert tuple(FORMULAS) == GF_NAMES
+
+
+@pytest.mark.parametrize("name", GF_NAMES)
+def test_closed_form_matches_sympy(name):
+    expr, variables, order = FORMULAS[name]
+    series = build_closed_form(name, order)
+    if isinstance(series, USeries):
+        got = {k: c for k, c in enumerate(series.coeffs) if c}
+    else:
+        got = series.terms
+    want = sympy_terms(expr, variables, order)
+    assert want
+    assert got == want
