@@ -3,9 +3,11 @@
 Two representations: USeries is a dense univariate series, MSeries a
 sparse series in two or three variables truncated by total degree (the
 count tables are triangular, so total-degree order N captures levels
-1..N exactly).  Coefficients are fractions.Fraction throughout, so every
-operation is exact; equality of series means equality of every stored
-coefficient.
+1..N exactly).  Stored coefficients are fractions.Fraction throughout, so
+every operation is exact; equality of series means equality of every
+stored coefficient.  The O(N^2) kernels (products and inverses) write
+their operands as integer numerators over one common denominator, run
+their loops on plain ints, and build each Fraction once at the end.
 
 On top of the ring operations sit the closed forms used by the avoidance
 counts: the column and diagonal generating functions of the pair tree,
@@ -24,7 +26,10 @@ form, and returns what should be the zero series.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import defaultdict
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
@@ -41,11 +46,17 @@ __all__ = [
 ]
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 class InexactDivisionError(ArithmeticError):
     """Division that should be exact left a remainder."""
+
+
+def _over_common(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The values as integer numerators over their least common denominator."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 # ---------------------------------------------------------------------------
@@ -145,31 +156,40 @@ class USeries:
     def __mul__(self, other: "USeries") -> "USeries":
         self._check_compatible(other)
         n = self.order
-        out = [F0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(0, n - i + 1):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return USeries(self.var, n, out)
+        a, da = _over_common(self.coeffs)
+        b, db = _over_common(reversed(other.coeffs))
+        # coefficient k pairs a[0..k] with other's k..0, i.e. b[n-k..n]
+        den = da * db
+        return USeries(
+            self.var,
+            n,
+            [Fraction(sum(map(mul, a[: k + 1], b[n - k :])), den) for k in range(n + 1)],
+        )
 
     def invert_unit(self) -> "USeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if not c0:
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        With self = A / da over integers, coefficient d of the inverse is
+        da * q[d] / A[0]^(d+1), where q[0] = 1 and
+        q[d] = -sum_{u>=1} A[u] * A[0]^(u-1) * q[d-u].
+        """
+        a, da = _over_common(self.coeffs)
+        a0 = a[0]
+        if not a0:
             raise ValueError("series with zero constant term is not invertible")
-        inv0 = F1 / c0
-        out = [inv0] + [F0] * self.order
+        b = []  # b[u-1] = A[u] * A[0]^(u-1)
+        p = 1
+        for c in a[1:]:
+            b.append(c * p)
+            p *= a0
+        q = [1]
         for d in range(1, self.order + 1):
-            acc = F0
-            for u in range(1, d + 1):
-                cu = self.coeffs[u]
-                if cu:
-                    acc += cu * out[d - u]
-            if acc:
-                out[d] = -inv0 * acc
+            q.append(-sum(map(mul, b[:d], reversed(q))))
+        out = []
+        p = a0
+        for c in q:
+            out.append(Fraction(da * c, p))
+            p *= a0
         return USeries(self.var, self.order, out)
 
     def sqrt_unit(self) -> "USeries":
@@ -354,62 +374,47 @@ class MSeries:
         out.terms = terms
         return out
 
-    def _slices(self) -> dict[int, list[tuple[Exp, Fraction]]]:
-        out: dict[int, list[tuple[Exp, Fraction]]] = {}
-        for e, c in self.terms.items():
-            out.setdefault(sum(e), []).append((e, c))
-        return out
-
     def __mul__(self, other: "MSeries") -> "MSeries":
         self._check_compatible(other)
-        order = self.order
-        a_sl = self._slices()
-        b_sl = other._slices()
-        out: dict[Exp, Fraction] = {}
-        for da, la in a_sl.items():
-            for db, lb in b_sl.items():
-                if da + db > order:
-                    continue
-                for ea, ca in la:
-                    for eb, cb in lb:
-                        e = tuple(x + y for x, y in zip(ea, eb))
-                        nv = out.get(e, F0) + ca * cb
-                        if nv:
-                            out[e] = nv
-                        else:
-                            del out[e]
-        return self._wrap(out)
+        a, da = _over_common(self.terms.values())
+        nb, db = _over_common(other.terms.values())
+        # other's terms by total degree: each term of self meets the prefix
+        # that stays within the order
+        b = sorted(zip(map(sum, other.terms), other.terms, nb))
+        degs = [t[0] for t in b]
+        acc: defaultdict[Exp, int] = defaultdict(int)
+        for ea, ca in zip(self.terms, a):
+            for _, eb, cb in b[: bisect_right(degs, self.order - sum(ea))]:
+                acc[tuple(map(add, ea, eb))] += ca * cb
+        den = da * db
+        return self._wrap({e: Fraction(c, den) for e, c in acc.items() if c})
 
     def invert_unit(self) -> "MSeries":
-        """Multiplicative inverse, built degree slice by degree slice."""
-        c0 = self.terms.get(self._zero_exp(), F0)
-        if not c0:
+        """Multiplicative inverse, built degree slice by degree slice on the
+        integer recurrence of USeries.invert_unit, with A[u] standing for
+        every term of total degree u."""
+        zero = self._zero_exp()
+        nums, da = _over_common(self.terms.values())
+        a = dict(zip(self.terms, nums))
+        a0 = a.pop(zero, 0)
+        if not a0:
             raise ValueError("series with zero constant term is not invertible")
-        inv0 = F1 / c0
-        a_sl = self._slices()
-        a_sl.pop(0, None)
-        q_sl: dict[int, dict[Exp, Fraction]] = {0: {self._zero_exp(): inv0}}
+        b: list[list[tuple[Exp, int]]] = [[] for _ in range(self.order + 1)]
+        for e, c in a.items():
+            u = sum(e)
+            b[u].append((e, c * a0 ** (u - 1)))
+        q: list[dict[Exp, int]] = [{zero: 1}]
+        out = {zero: Fraction(da, a0)}
+        p = a0
         for d in range(1, self.order + 1):
-            acc: dict[Exp, Fraction] = {}
-            for u, la in a_sl.items():
-                if u > d:
-                    continue
-                qs = q_sl.get(d - u)
-                if not qs:
-                    continue
-                for ea, ca in la:
-                    for eq, cq in qs.items():
-                        e = tuple(x + y for x, y in zip(ea, eq))
-                        nv = acc.get(e, F0) + ca * cq
-                        if nv:
-                            acc[e] = nv
-                        else:
-                            del acc[e]
-            if acc:
-                q_sl[d] = {e: -inv0 * v for e, v in acc.items()}
-        out: dict[Exp, Fraction] = {}
-        for sl in q_sl.values():
-            out.update(sl)
+            acc: defaultdict[Exp, int] = defaultdict(int)
+            for u in range(1, d + 1):
+                for eq, cq in q[d - u].items():
+                    for ea, ca in b[u]:
+                        acc[tuple(map(add, ea, eq))] += ca * cq
+            q.append({e: -c for e, c in acc.items() if c})
+            p *= a0
+            out.update((e, Fraction(da * c, p)) for e, c in q[d].items())
         return self._wrap(out)
 
     def substitute(self, var: str, value: Union[int, str]) -> "MSeries":

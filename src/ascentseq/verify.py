@@ -250,6 +250,14 @@ GOLDEN_A1_ARRAYS: dict[int, list[list[int]]] = {
 # ---------------------------------------------------------------------------
 
 
+def _check_depths(n_max: int, gf_order: int) -> None:
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    if gf_order < n_max:
+        # the gf checks cover levels up to gf_order // 2, the counts n_max
+        raise ValueError(f"gf_order {gf_order} must be at least n_max {n_max}")
+
+
 def crosscheck_pair(
     n_max: int = 12,
     gf_order: int = 40,
@@ -268,8 +276,7 @@ def crosscheck_pair(
     the published level arrays and the seven structural identities are
     replayed; the functional-equation residuals must vanish.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    _check_depths(n_max, gf_order)
     recur_max = max(n_max, 20) if recur_max is None else recur_max
     relations_max = max(n_max, 15) if relations_max is None else relations_max
     residual_order = min(gf_order, 30) if residual_order is None else residual_order
@@ -379,8 +386,7 @@ def crosscheck_0021(
     row-shift structure, the single-increasing-node convention, and the
     column-structure relations through f(z) and g(z).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    _check_depths(n_max, gf_order)
     recur_max = max(n_max, 20) if recur_max is None else recur_max
     residual_order = min(gf_order, 25) if residual_order is None else residual_order
     golden_a0 = GOLDEN_A0_ARRAYS if golden_a0 is None else golden_a0

@@ -137,6 +137,8 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(["count", "--patterns", "12", "--n", "3"])[0] == 2  # unreduced
     assert run(["count", "--patterns", "0021", "--n", "0"])[0] == 2
     assert run(["verify", "--suite", "pair", "--n-max", "10", "--order", "5"])[0] == 2
+    assert run(["verify", "--suite", "pair", "--order", "5"])[0] == 2
+    assert run(["verify", "--suite", "0021", "--order", "5"])[0] == 2
     assert run(["verify", "--suite", "wilf", "--n-max", "0"])[0] == 2
     assert run(["coeffs", "--gf", "nope", "--order", "5"])[0] == 2
     count = ["count", "--patterns", "201,210", "--n", "3", "--out"]

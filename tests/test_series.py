@@ -1,8 +1,11 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ascentseq import gentree_0021 as gt
 from ascentseq import gentree_pair as gp
@@ -37,8 +40,9 @@ def rand_mseries(rng, variables, order, terms=8, unit=False):
         e = tuple(rng.randrange(0, order + 1) for _ in variables)
         if sum(e) <= order:
             t[e] = Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))
-    if unit:
-        t[(0,) * len(variables)] = Fraction(rng.randrange(1, 6))
+    zero = (0,) * len(variables)
+    while unit and not t.get(zero):
+        t[zero] = Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))
     return MSeries(variables, order, t)
 
 
@@ -277,3 +281,119 @@ def test_series_json_roundtrip():
     d = json.loads(json.dumps(C.to_json_dict()))
     assert MSeries.from_json_dict(d) == C
 
+
+# ---------------------------------------------------------------------------
+# The integer kernels against schoolbook Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+ORDERS = st.integers(0, 8)
+# denominators up to 12, most of them not powers of 2
+COEFFS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+UNITS = st.sampled_from([Fraction(-3, 2), Fraction(5, 3)]) | st.builds(
+    Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 12)
+)
+
+
+def ref_umul(a, b):
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(len(a))]
+
+
+def ref_uinv(a):
+    out = [1 / a[0]]
+    for d in range(1, len(a)):
+        out.append(-sum((a[u] * out[d - u] for u in range(1, d + 1)), Fraction(0)) / a[0])
+    return out
+
+
+def ref_mmul(a, b, order):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) <= order:
+                out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_minv(a, nvars, order):
+    zero = (0,) * nvars
+    exps = [e for e in itertools.product(range(order + 1), repeat=nvars) if sum(e) <= order]
+    out = {}
+    for e in sorted(exps, key=sum):
+        acc = Fraction(e == zero)
+        for f, c in a.items():
+            rest = tuple(x - y for x, y in zip(e, f))
+            if f != zero and min(rest) >= 0:
+                acc -= c * out[rest]
+        out[e] = acc / a[zero]
+    return {e: c for e, c in out.items() if c}
+
+
+def odd_negated(cs):
+    """a(t) -> a(-t), so that a(t) * a(-t) cancels every odd coefficient."""
+    return [-c if k % 2 else c for k, c in enumerate(cs)]
+
+
+def all_fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+@st.composite
+def useries_pairs(draw):
+    order = draw(ORDERS)
+    cs = st.lists(COEFFS, min_size=order + 1, max_size=order + 1)
+    return USeries("z", order, draw(cs)), USeries("z", order, draw(cs))
+
+
+@st.composite
+def mseries_pairs(draw):
+    vs = draw(st.sampled_from([("x", "y"), ("x", "y", "z")]))
+    order = draw(ORDERS)
+    # exponents past the order are dropped by the constructor
+    terms = st.dictionaries(st.tuples(*[st.integers(0, order)] * len(vs)), COEFFS, max_size=10)
+    return MSeries(vs, order, draw(terms)), MSeries(vs, order, draw(terms))
+
+
+@given(useries_pairs())
+def test_useries_mul_matches_schoolbook(pair):
+    a, b = pair
+    prod = a * b
+    assert prod.coeffs == ref_umul(a.coeffs, b.coeffs)
+    assert all_fractions(prod.coeffs)
+    cancel = a * USeries("z", a.order, odd_negated(a.coeffs))
+    assert not any(cancel.coeffs[1::2])
+    assert all_fractions(cancel.coeffs)
+
+
+@given(useries_pairs(), UNITS)
+def test_useries_invert_matches_schoolbook(pair, c0):
+    a = USeries("z", pair[0].order, [c0] + pair[0].coeffs[1:])
+    inv = a.invert_unit()
+    assert inv.coeffs == ref_uinv(a.coeffs)
+    assert all_fractions(inv.coeffs)
+
+
+@given(mseries_pairs())
+def test_mseries_mul_matches_schoolbook(pair):
+    a, b = pair
+    for prod, ref in [
+        (a * b, ref_mmul(a.terms, b.terms, a.order)),
+        (a * a, ref_mmul(a.terms, a.terms, a.order)),
+    ]:
+        assert prod.terms == ref
+        assert all(prod.terms.values()) and all_fractions(prod.terms.values())
+    neg = MSeries(a.vars, a.order, {e: -c if sum(e) % 2 else c for e, c in a.terms.items()})
+    cancel = a * neg
+    assert cancel.terms == ref_mmul(a.terms, neg.terms, a.order)
+    assert all(sum(e) % 2 == 0 for e in cancel.terms)
+    assert all(cancel.terms.values()) and all_fractions(cancel.terms.values())
+
+
+@given(mseries_pairs(), UNITS)
+def test_mseries_invert_matches_schoolbook(pair, c0):
+    a = pair[0]
+    zero = (0,) * len(a.vars)
+    a = MSeries(a.vars, a.order, {**a.terms, zero: c0})
+    inv = a.invert_unit()
+    assert inv.terms == ref_minv(a.terms, len(a.vars), a.order)
+    assert all(inv.terms.values()) and all_fractions(inv.terms.values())

@@ -145,5 +145,10 @@ def test_invalid_ranges_rejected():
         verify.crosscheck_pair(n_max=0)
     with pytest.raises(ValueError):
         verify.crosscheck_0021(n_max=0)
+    # the gf order is checked against the effective depth, default or not
+    with pytest.raises(ValueError, match="gf_order 5 must be at least n_max 12"):
+        verify.crosscheck_pair(gf_order=5)
+    with pytest.raises(ValueError, match="gf_order 5 must be at least n_max 6"):
+        verify.crosscheck_0021(n_max=6, gf_order=5)
     with pytest.raises(ValueError):
         verify.wilf_equivalence_check(0)
