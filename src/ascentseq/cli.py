@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 
 from . import gentree_0021 as g0021
 from . import gentree_pair as gpair
@@ -22,16 +23,14 @@ from .core import (
     format_sequence,
     parse_patterns,
 )
-from .series import GF_NAMES, MSeries, USeries, a007317, build_closed_form
-from .verify import combine_reports, crosscheck_0021, crosscheck_pair, wilf_equivalence_check
-
-PAIR_KEY = frozenset(gpair.PAIR_PATTERNS)
-QUAD_KEY = frozenset((g0021.QUAD_PATTERN,))
-KEY_1012 = frozenset(((1, 0, 1, 2),))
-
-#: methods valid for each of the specially supported pattern sets
-_TREE_SETS = {PAIR_KEY, QUAD_KEY}
-_FORMULA_SETS = {PAIR_KEY, QUAD_KEY, KEY_1012}
+from .series import GF_NAMES, a007317, build_closed_form
+from .verify import (
+    _CLASSES,
+    combine_reports,
+    crosscheck_0021,
+    crosscheck_pair,
+    wilf_equivalence_check,
+)
 
 
 def _write_out(text: str, out_path: str | None) -> None:
@@ -55,39 +54,25 @@ def _write_out(text: str, out_path: str | None) -> None:
 
 
 def _count_by_method(patterns, n: int, method: str, parser) -> int:
-    key = frozenset(patterns)
     if method == "brute":
         return count_avoiders(n, patterns)[n - 1]
+    spec = _CLASSES.get(frozenset(patterns))
     if method in ("tree", "recurrence"):
-        if key not in _TREE_SETS:
+        if spec is None or spec.simulate is None:
             parser.error(
                 f"method {method!r} needs a generating tree; available for "
                 "pattern sets 201,210 and 0021 only"
             )
-        if key == PAIR_KEY:
-            levels = (
-                gpair.simulate_pair_levels(n)
-                if method == "tree"
-                else gpair.pair_recurrence_levels(n)
-            )
-        else:
-            levels = (
-                g0021.simulate_0021_levels(n)
-                if method == "tree"
-                else g0021.triple_recurrence_levels(n)
-            )
+        levels = spec.simulate(n) if method == "tree" else spec.recurrence(n)
         return levels[-1].total()
-    if method in ("gf", "formula"):
-        if key not in _FORMULA_SETS:
-            parser.error(
-                f"method {method!r} is only available for the pattern sets "
-                "201,210 and 0021 and 1012, whose counts have a closed form"
-            )
-        if method == "formula":
-            return a007317(n)
-        name = "C_total_pair" if key == PAIR_KEY else "total_0021"
-        return int(build_closed_form(name, n).coeff(n))
-    parser.error(f"unknown method {method!r}")
+    if spec is None:
+        parser.error(
+            f"method {method!r} is only available for the pattern sets "
+            "201,210 and 0021 and 1012, whose counts have a closed form"
+        )
+    if method == "formula":
+        return a007317(n)
+    return int(build_closed_form(spec.total_gf, n).coeff(n))
 
 
 def _cmd_count(args, parser) -> int:
@@ -152,36 +137,17 @@ def _cmd_table(args, parser) -> int:
 
 
 def _cmd_coeffs(args, parser) -> int:
-    series = build_closed_form(args.gf, args.order)
+    # every series kind reads as its variables and sorted (exponents, coeff) terms
+    data = build_closed_form(args.gf, args.order).to_json_dict()
     if args.format == "json":
-        text = json.dumps(series.to_json_dict())
-    elif isinstance(series, USeries):
-        lines = [
-            f"{k},{c.numerator}/{c.denominator}"
-            for k, c in enumerate(series.coeffs)
-            if c
-        ]
-        header = f"{series.var},coeff"
-        if args.format == "csv":
-            text = "\n".join([header] + lines)
-        else:
-            text = "\n".join(
-                f"{k} {c}" for k, c in enumerate(series.coeffs) if c
-            ) or "0"
+        text = json.dumps(data)
+    elif args.format == "csv":
+        header = ",".join(data["variables"]) + ",coeff"
+        text = "\n".join([header] + [",".join(map(str, term)) for term in data["terms"]])
     else:
-        assert isinstance(series, MSeries)
-        items = sorted(series.terms.items())
-        if args.format == "csv":
-            header = ",".join(series.vars) + ",coeff"
-            lines = [
-                ",".join(str(x) for x in e) + f",{c.numerator}/{c.denominator}"
-                for e, c in items
-            ]
-            text = "\n".join([header] + lines)
-        else:
-            text = "\n".join(
-                " ".join(str(x) for x in e) + f" {c}" for e, c in items
-            ) or "0"
+        text = "\n".join(
+            " ".join(map(str, exps)) + f" {Fraction(c)}" for *exps, c in data["terms"]
+        ) or "0"
     _write_out(text, args.out)
     return 0
 

@@ -28,7 +28,6 @@ __all__ = [
     "is_reduced",
     "contains",
     "contains_naive",
-    "extends_without_pattern",
     "valid_append_set",
     "enumerate_avoiders",
     "count_avoiders",
@@ -218,20 +217,6 @@ def contains_naive(word: Sequence[int], pattern: Sequence[int]) -> bool:
     if len(w) < len(p):
         return False
     return any(reduce(sub) == p for sub in combinations(w, len(p)))
-
-
-def extends_without_pattern(
-    seq: Sequence[int], d: int, patterns: Iterable[Sequence[int]]
-) -> bool:
-    """Can digit d be appended to seq without creating any pattern in B?
-
-    Assumes seq itself avoids every pattern in B, so only occurrences that
-    end at the appended digit need to be ruled out.
-    """
-    w = tuple(seq)
-    if d < 0 or d > asc_count(w) + 1:
-        raise ValueError(f"digit {d} is outside the ascent bound for {w}")
-    return d in valid_append_set(w, patterns)
 
 
 def valid_append_set(

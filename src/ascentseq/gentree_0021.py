@@ -25,14 +25,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import contains, valid_append_set
-
 __all__ = [
     "QUAD_PATTERN",
-    "AppendSplit",
     "TripleLevelTables",
-    "split_sets",
-    "triple_label",
     "triple_label_from_appendable",
     "triple_children",
     "simulate_0021_levels",
@@ -44,14 +39,6 @@ __all__ = [
 ]
 
 QUAD_PATTERN = (0, 0, 2, 1)
-
-
-@dataclass(frozen=True)
-class AppendSplit:
-    """Appendable digits of an avoider, split at its smallest repeated digit."""
-
-    unrestricted: tuple[int, ...]
-    increasing: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -73,53 +60,23 @@ class TripleLevelTables:
         return self.g1.get((q, r), 0)
 
 
-def _check_avoider(seq: Sequence[int]) -> tuple[int, ...]:
-    w = tuple(seq)
-    if contains(w, QUAD_PATTERN):
-        raise ValueError(f"{w} contains 0021; it is outside the avoidance class")
-    return w
-
-
-def split_sets(seq: Sequence[int]) -> AppendSplit:
-    """Appendable digits split into the unrestricted and increasing parts.
-
-    The increasing part holds the appendable digits larger than the
-    smallest repeated digit of seq; it is empty when no digit repeats.
-    """
-    w = _check_avoider(seq)
-    return _split_from_appendable(w, valid_append_set(w, (QUAD_PATTERN,)))
-
-
-def _split_from_appendable(
-    seq: Sequence[int], appendable: Sequence[int]
-) -> AppendSplit:
-    """split_sets of an avoider whose appendable digits are already known."""
-    repeated = [d for d in set(seq) if seq.count(d) > 1]
-    if repeated:
-        srd = min(repeated)
-        inc = tuple(d for d in appendable if d > srd)
-    else:
-        inc = ()
-    unr = tuple(d for d in appendable if d not in inc)
-    return AppendSplit(unr, inc)
-
-
-def triple_label(seq: Sequence[int]) -> tuple[int, int, int]:
-    """Label (p, q, r): reduced last digit, |unrestricted|, |increasing|.
-
-    The last digit is always appendable, so p is its rank among the
-    appendable digits.
-    """
-    w = _check_avoider(seq)
-    return triple_label_from_appendable(w, valid_append_set(w, (QUAD_PATTERN,)))
-
-
 def triple_label_from_appendable(
     seq: Sequence[int], appendable: Sequence[int]
 ) -> tuple[int, int, int]:
-    """triple_label of an avoider whose appendable digits are already known."""
-    split = _split_from_appendable(seq, appendable)
-    return appendable.index(seq[-1]), len(split.unrestricted), len(split.increasing)
+    """Label (p, q, r) of an avoider from its appendable digits.
+
+    The increasing part holds the appendable digits larger than the
+    smallest repeated digit of seq, and is empty when no digit repeats; q
+    counts the rest.  The last digit is always appendable, so p is its
+    rank among the appendable digits.
+    """
+    repeated = [d for d in set(seq) if seq.count(d) > 1]
+    if repeated:
+        srd = min(repeated)
+        r = sum(1 for d in appendable if d > srd)
+    else:
+        r = 0
+    return appendable.index(seq[-1]), len(appendable) - r, r
 
 
 def _classify(label: tuple[int, int, int]) -> int:

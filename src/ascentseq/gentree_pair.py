@@ -19,8 +19,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import contains, valid_append_set
-
 __all__ = [
     "PAIR_PATTERNS",
     "PairLevelTable",
@@ -28,13 +26,11 @@ __all__ = [
     "RelationViolation",
     "RelationReport",
     "RELATION_NAMES",
-    "pair_label",
     "pair_label_from_appendable",
     "pair_children",
     "simulate_pair_levels",
     "pair_recurrence_levels",
     "pair_recurrence_table",
-    "cd_tables",
     "cd_tables_from",
     "check_structure_relations",
     "dense_array",
@@ -71,20 +67,11 @@ class CDTable:
     d: tuple[int, ...]
 
 
-def pair_label(seq: Sequence[int]) -> tuple[int, int]:
-    """Label (p, q): rank of the last digit inside the appendable set and
-    the size of that set minus one."""
-    w = tuple(seq)
-    for p in PAIR_PATTERNS:
-        if contains(w, p):
-            raise ValueError(f"{w} contains {p}; it is outside the avoidance class")
-    return pair_label_from_appendable(w, valid_append_set(w, PAIR_PATTERNS))
-
-
 def pair_label_from_appendable(
     seq: Sequence[int], appendable: Sequence[int]
 ) -> tuple[int, int]:
-    """pair_label of an avoider whose appendable digits are already known."""
+    """Label (p, q) of an avoider from its appendable digits: the rank of
+    its last digit among them, and their number minus one."""
     return appendable.index(seq[-1]), len(appendable) - 1
 
 
@@ -158,16 +145,11 @@ def pair_recurrence_table(n: int) -> PairLevelTable:
 
 
 def cd_tables_from(table: PairLevelTable) -> CDTable:
-    """c/d summary computed from an existing level table."""
+    """Column sums c_{n,i} and diagonals d_{n,i} = g(i-1, i) of a level."""
     n = table.n
     c = tuple(sum(table.value(k, i) for k in range(i)) for i in range(1, n + 1))
     d = tuple(table.value(i - 1, i) for i in range(1, n + 1))
     return CDTable(n, c, d)
-
-
-def cd_tables(n: int) -> CDTable:
-    """Column sums c_{n,i} and diagonals d_{n,i} = g(i-1, i) at level n."""
-    return cd_tables_from(pair_recurrence_table(n))
 
 
 @dataclass(frozen=True)

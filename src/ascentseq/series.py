@@ -105,12 +105,6 @@ class USeries:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def valuation(self) -> int | None:
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return None
-
     def truncate(self, order: int) -> "USeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
@@ -243,15 +237,6 @@ class USeries:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "USeries":
-        (var,) = d["variables"]
-        out = cls.zero(var, d["order"])
-        for *exps, val in d["terms"]:
-            (k,) = exps
-            out.coeffs[k] = Fraction(val)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Multivariate series
@@ -304,6 +289,8 @@ class MSeries:
 
     def coeff(self, exps: Exp) -> Fraction:
         e = tuple(exps)
+        if len(e) != len(self.vars) or min(e) < 0:
+            raise ValueError(f"bad exponent tuple {e} for variables {self.vars}")
         if sum(e) > self.order:
             raise IndexError(f"exponent {e} outside truncation order {self.order}")
         return self.terms.get(e, F0)
@@ -473,13 +460,6 @@ class MSeries:
                 for e, c in sorted(self.terms.items())
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MSeries":
-        terms = {}
-        for *exps, val in d["terms"]:
-            terms[tuple(exps)] = Fraction(val)
-        return cls(tuple(d["variables"]), d["order"], terms)
 
 
 # ---------------------------------------------------------------------------

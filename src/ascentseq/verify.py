@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import gentree_0021 as g0021
 from . import gentree_pair as gpair
@@ -105,30 +106,11 @@ def _add(records: list[CheckRecord], check_id: str, scope: str, failures: list, 
         records.append(CheckRecord(check_id, scope, "pass", note))
 
 
-def _pentagon(records, prefix, patterns, n_max, recur_max, sim, recur) -> None:
-    """Brute force, simulation, recurrence and formula agree on the counts."""
-    brute = count_avoiders(n_max, patterns)
-    bad = [
-        (n, brute[n - 1], sim[n - 1].total(), recur[n - 1].total(), a007317(n))
-        for n in range(1, n_max + 1)
-        if not brute[n - 1] == sim[n - 1].total() == recur[n - 1].total() == a007317(n)
-    ]
-    _add(records, f"{prefix}.counts.pentagon", f"n<={n_max}", bad,
-         f"counts {brute[:7]}...")
-
-    bad = [
-        (n, recur[n - 1].total(), a007317(n))
-        for n in range(1, recur_max + 1)
-        if recur[n - 1].total() != a007317(n)
-    ]
-    _add(records, f"{prefix}.counts.recurrence_vs_formula", f"n<={recur_max}", bad)
-
-
-def _rule_vs_definition(records, prefix, patterns, oracle_max, label_of, children) -> None:
+def _rule_vs_definition(records, spec: _ClassSpec, oracle_max) -> None:
     """Child labels from the definition equal the succession rule's output.
 
     One walk to length oracle_max + 1 visits every avoider with its append
-    set, from which label_of gives its label.  The open parents along the
+    set, from which spec.label gives its label.  The open parents along the
     DFS path are checked as the walk leaves them.
     """
     bad = []
@@ -142,17 +124,17 @@ def _rule_vs_definition(records, prefix, patterns, oracle_max, label_of, childre
     def visit(seq, appendable) -> None:
         while path and len(path[-1][0]) >= len(seq):
             close()
-        label = label_of(seq, appendable)
+        label = spec.label(seq, appendable)
         if path:
             path[-1][2][label] += 1
         if len(seq) <= oracle_max:
-            path.append((seq, children(label), Counter()))
+            path.append((seq, spec.children(label), Counter()))
 
-    visit_avoiders(oracle_max + 1, patterns, visit)
+    visit_avoiders(oracle_max + 1, spec.patterns, visit)
     while path:
         close()
     bad.sort(key=lambda b: (len(b[0]), b[0]))  # shortest, then lexicographic
-    _add(records, f"{prefix}.labels.rule_vs_definition", f"n<={oracle_max}", bad)
+    _add(records, f"{spec.name}.labels.rule_vs_definition", f"n<={oracle_max}", bad)
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +228,104 @@ GOLDEN_A1_ARRAYS: dict[int, list[list[int]]] = {
 
 
 # ---------------------------------------------------------------------------
-# Pair suite
+# The supported classes: which pipeline counts which
 # ---------------------------------------------------------------------------
 
 
-def _check_depths(n_max: int, gf_order: int) -> None:
+@dataclass(frozen=True)
+class _ClassSpec:
+    """The pipelines of one avoidance class counted by A007317.  Its
+    functions look their targets up in their modules at call time, so a
+    wrapper or a patch put on a module after import is the one that runs."""
+
+    name: str  # prefix of the check ids
+    patterns: tuple[tuple[int, ...], ...]
+    simulate: Callable[[int], list] | None  # levels 1..n of the tree
+    recurrence: Callable[[int], list] | None
+    label: Callable | None  # (avoider, its appendable digits) -> label
+    children: Callable | None  # label -> Counter of child labels
+    total_gf: str  # closed form whose t^n coefficient counts length n
+    residuals: tuple[str, ...] = ()  # the C and D functional equations
+    residual_cap: int = 0  # default residual order: min(gf_order, cap)
+
+
+_PAIR = _ClassSpec(
+    "pair",
+    gpair.PAIR_PATTERNS,
+    simulate=lambda n: gpair.simulate_pair_levels(n),
+    recurrence=lambda n: gpair.pair_recurrence_levels(n),
+    label=lambda seq, appendable: gpair.pair_label_from_appendable(seq, appendable),
+    children=lambda label: gpair.pair_children(label),
+    total_gf="C_total_pair",
+    residuals=("pair_c", "pair_d"),
+    residual_cap=30,
+)
+_T0021 = _ClassSpec(
+    "t0021",
+    (g0021.QUAD_PATTERN,),
+    simulate=lambda n: g0021.simulate_0021_levels(n),
+    recurrence=lambda n: g0021.triple_recurrence_levels(n),
+    label=lambda seq, appendable: g0021.triple_label_from_appendable(seq, appendable),
+    children=lambda label: g0021.triple_children(label),
+    total_gf="total_0021",
+    residuals=("t0021_c", "t0021_d"),
+    residual_cap=25,
+)
+# no generating tree is known for 1012; the class shares the 0021 total
+_C1012 = _ClassSpec("1012", ((1, 0, 1, 2),), None, None, None, None, "total_0021")
+
+_CLASSES = {frozenset(c.patterns): c for c in (_PAIR, _T0021, _C1012)}
+
+
+def _tree_records(
+    spec: _ClassSpec, records, n_max, gf_order, recur_max, residual_order, oracle_max
+):
+    """The records a tree suite writes the same way for every class.
+
+    Checks the depths and writes the pentagon (brute force, simulation,
+    recurrence and formula agree on the counts), recurrence-vs-formula,
+    rule-vs-definition and residual records.  Returns the effective
+    recur_max with the simulated and the recurrence levels.
+    """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if gf_order < n_max:
         # the gf checks cover levels up to gf_order // 2, the counts n_max
         raise ValueError(f"gf_order {gf_order} must be at least n_max {n_max}")
+    recur_max = max(n_max, 20) if recur_max is None else recur_max
+    if residual_order is None:
+        residual_order = min(gf_order, spec.residual_cap)
+    sim = spec.simulate(n_max)
+    recur = spec.recurrence(max(recur_max, gf_order // 2))
+
+    brute = count_avoiders(n_max, spec.patterns)
+    bad = [
+        (n, brute[n - 1], sim[n - 1].total(), recur[n - 1].total(), a007317(n))
+        for n in range(1, n_max + 1)
+        if not brute[n - 1] == sim[n - 1].total() == recur[n - 1].total() == a007317(n)
+    ]
+    _add(records, f"{spec.name}.counts.pentagon", f"n<={n_max}", bad,
+         f"counts {brute[:7]}...")
+    bad = [
+        (n, recur[n - 1].total(), a007317(n))
+        for n in range(1, recur_max + 1)
+        if recur[n - 1].total() != a007317(n)
+    ]
+    _add(records, f"{spec.name}.counts.recurrence_vs_formula", f"n<={recur_max}", bad)
+
+    _rule_vs_definition(records, spec, oracle_max)
+
+    for side, which in zip("cd", spec.residuals):
+        res = residual(which, residual_order)
+        bad = [] if res.is_zero() else [sorted(res.terms.items())[0]]
+        _add(records, f"{spec.name}.gf.residual_{side}", f"order<={residual_order}",
+             bad, "identically zero")
+    return recur_max, sim, recur
+
+
+# ---------------------------------------------------------------------------
+# Pair suite
+# ---------------------------------------------------------------------------
 
 
 def crosscheck_pair(
@@ -276,16 +346,12 @@ def crosscheck_pair(
     the published level arrays and the seven structural identities are
     replayed; the functional-equation residuals must vanish.
     """
-    _check_depths(n_max, gf_order)
-    recur_max = max(n_max, 20) if recur_max is None else recur_max
-    relations_max = max(n_max, 15) if relations_max is None else relations_max
-    residual_order = min(gf_order, 30) if residual_order is None else residual_order
-    golden_tables = GOLDEN_PAIR_ARRAYS if golden_tables is None else golden_tables
     records: list[CheckRecord] = []
-
-    sim = gpair.simulate_pair_levels(n_max)
-    recur = gpair.pair_recurrence_levels(max(recur_max, gf_order // 2))
-    _pentagon(records, "pair", gpair.PAIR_PATTERNS, n_max, recur_max, sim, recur)
+    recur_max, sim, recur = _tree_records(
+        _PAIR, records, n_max, gf_order, recur_max, residual_order, oracle_max
+    )
+    relations_max = max(n_max, 15) if relations_max is None else relations_max
+    golden_tables = GOLDEN_PAIR_ARRAYS if golden_tables is None else golden_tables
 
     golden_hi = min(n_max, max(golden_tables))
     bad = []
@@ -306,9 +372,6 @@ def crosscheck_pair(
         list(rel.violations),
         "all seven identities hold",
     )
-
-    _rule_vs_definition(records, "pair", gpair.PAIR_PATTERNS, oracle_max,
-                        gpair.pair_label_from_appendable, gpair.pair_children)
 
     C = build_closed_form("C_pair", gf_order)
     D = build_closed_form("D_pair", gf_order)
@@ -337,12 +400,7 @@ def crosscheck_pair(
         bad.insert(0, (0, diag.coeff(0)))
     _add(records, "pair.gf.diagonal_ones", f"n<={depth}", bad)
 
-    for which, rid in (("pair_c", "pair.gf.residual_c"), ("pair_d", "pair.gf.residual_d")):
-        res = residual(which, residual_order)
-        bad = [] if res.is_zero() else [sorted(res.terms.items())[0]]
-        _add(records, rid, f"order<={residual_order}", bad, "identically zero")
-
-    total = build_closed_form("C_total_pair", total_max)
+    total = build_closed_form(_PAIR.total_gf, total_max)
     bad = [
         (n, total.coeff(n), a007317(n))
         for n in range(1, total_max + 1)
@@ -386,17 +444,12 @@ def crosscheck_0021(
     row-shift structure, the single-increasing-node convention, and the
     column-structure relations through f(z) and g(z).
     """
-    _check_depths(n_max, gf_order)
-    recur_max = max(n_max, 20) if recur_max is None else recur_max
-    residual_order = min(gf_order, 25) if residual_order is None else residual_order
+    records: list[CheckRecord] = []
+    recur_max, sim, recur = _tree_records(
+        _T0021, records, n_max, gf_order, recur_max, residual_order, oracle_max
+    )
     golden_a0 = GOLDEN_A0_ARRAYS if golden_a0 is None else golden_a0
     golden_a1 = GOLDEN_A1_ARRAYS if golden_a1 is None else golden_a1
-    records: list[CheckRecord] = []
-    pattern = (g0021.QUAD_PATTERN,)
-
-    sim = g0021.simulate_0021_levels(n_max)
-    recur = g0021.triple_recurrence_levels(max(recur_max, gf_order // 2))
-    _pentagon(records, "t0021", pattern, n_max, recur_max, sim, recur)
 
     bad = []
     for n in range(1, min(n_max, len(sim)) + 1):
@@ -438,9 +491,6 @@ def crosscheck_0021(
     ]
     _add(records, "t0021.relations.single_increasing_node", f"n<={recur_max}", bad)
 
-    _rule_vs_definition(records, "t0021", pattern, oracle_max,
-                        g0021.triple_label_from_appendable, g0021.triple_children)
-
     C = build_closed_form("C_0021", gf_order)
     D = build_closed_form("D_0021", gf_order)
     depth = gf_order // 2
@@ -473,13 +523,8 @@ def crosscheck_0021(
     _add(records, "t0021.gf.level_totals", f"n<={depth}", bad,
          "g0 + g1 sums plus the single increasing node")
 
-    for which, rid in (("t0021_c", "t0021.gf.residual_c"), ("t0021_d", "t0021.gf.residual_d")):
-        res = residual(which, residual_order)
-        bad = [] if res.is_zero() else [sorted(res.terms.items())[0]]
-        _add(records, rid, f"order<={residual_order}", bad, "identically zero")
-
-    total = build_closed_form("total_0021", total_max)
-    pair_total = build_closed_form("C_total_pair", total_max)
+    total = build_closed_form(_T0021.total_gf, total_max)
+    pair_total = build_closed_form(_PAIR.total_gf, total_max)
     bad = [
         (n, total.coeff(n), a007317(n))
         for n in range(1, total_max + 1)
@@ -548,8 +593,8 @@ def wilf_equivalence_check(n_max: int = 11) -> VerificationReport:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     records: list[CheckRecord] = []
-    counts_0021 = count_avoiders(n_max, (g0021.QUAD_PATTERN,))
-    counts_1012 = count_avoiders(n_max, ((1, 0, 1, 2),))
+    counts_0021 = count_avoiders(n_max, _T0021.patterns)
+    counts_1012 = count_avoiders(n_max, _C1012.patterns)
     bad = [
         (n, counts_0021[n - 1], counts_1012[n - 1])
         for n in range(1, n_max + 1)

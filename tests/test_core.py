@@ -95,11 +95,11 @@ def test_rejects_unreduced_pattern():
 
 def test_extends_without_pattern_examples():
     B = [(2, 0, 1), (2, 1, 0)]
-    assert core.extends_without_pattern((0, 1, 2, 0), 2, B) is True
-    assert core.extends_without_pattern((0, 1, 2, 0), 1, B) is False
-    assert core.extends_without_pattern((0,), 1, [(0, 0, 2, 1)]) is True
-    with pytest.raises(ValueError):
-        core.extends_without_pattern((0, 1, 2, 0), 4, B)
+    assert 2 in core.valid_append_set((0, 1, 2, 0), B)
+    assert 1 not in core.valid_append_set((0, 1, 2, 0), B)
+    assert 1 in core.valid_append_set((0,), [(0, 0, 2, 1)])
+    # past the ascent bound nothing is appendable
+    assert 4 not in core.valid_append_set((0, 1, 2, 0), B)
 
 
 def test_extends_matches_contains_on_all_small_avoiders():
@@ -107,9 +107,10 @@ def test_extends_matches_contains_on_all_small_avoiders():
     for B in ([(2, 0, 1), (2, 1, 0)], [(0, 0, 2, 1)]):
         for n in range(1, 8):
             for a in core.enumerate_avoiders(n, B):
+                appendable = core.valid_append_set(a, B)
                 for d in range(core.asc_count(a) + 2):
                     expected = not any(core.contains_naive(a + (d,), p) for p in B)
-                    assert core.extends_without_pattern(a, d, B) == expected
+                    assert (d in appendable) == expected
 
 
 def test_valid_append_set_examples():

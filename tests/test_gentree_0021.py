@@ -26,24 +26,30 @@ A1_8 = [
 ]
 
 
+def label(seq):
+    """The (p, q, r) label of an avoider, read off a fresh append set."""
+    return gt.triple_label_from_appendable(seq, core.valid_append_set(seq, [gt.QUAD_PATTERN]))
+
+
 def test_split_sets_examples():
-    assert gt.split_sets((0, 1, 2, 1, 2, 3, 5)) == gt.AppendSplit((0, 1), (5, 6))
-    assert gt.split_sets((0, 1, 2, 3, 4)) == gt.AppendSplit((0, 1, 2, 3, 4, 5), ())
-    assert gt.split_sets((0,)) == gt.AppendSplit((0, 1), ())
+    # q and r count the appendable digits up to and above the smallest
+    # repeated digit
+    w = (0, 1, 2, 1, 2, 3, 5)
+    assert core.valid_append_set(w, [gt.QUAD_PATTERN]) == (0, 1, 5, 6)
+    assert label(w) == (2, 2, 2)
+    assert label((0, 1, 2, 3, 4)) == (4, 6, 0)
+    assert label((0,)) == (0, 2, 0)
     # a new smallest repeated digit moves everything above it
-    assert gt.split_sets((0, 1, 2, 1, 2, 3, 5, 0)) == gt.AppendSplit((0,), (1, 5, 6))
-
-
-def test_split_rejects_non_avoiders():
-    with pytest.raises(ValueError):
-        gt.split_sets((0, 0, 2, 1))
+    w = (0, 1, 2, 1, 2, 3, 5, 0)
+    assert core.valid_append_set(w, [gt.QUAD_PATTERN]) == (0, 1, 5, 6)
+    assert label(w) == (0, 1, 3)
 
 
 def test_triple_label_examples():
-    assert gt.triple_label((0,)) == (0, 2, 0)
-    assert gt.triple_label((0, 1)) == (1, 3, 0)
-    assert gt.triple_label((0, 1, 0, 2)) == (1, 1, 2)
-    assert gt.triple_label((0, 0)) == (0, 1, 1)
+    assert label((0,)) == (0, 2, 0)
+    assert label((0, 1)) == (1, 3, 0)
+    assert label((0, 1, 0, 2)) == (1, 1, 2)
+    assert label((0, 0)) == (0, 1, 1)
 
 
 def test_triple_children_examples():
@@ -134,10 +140,9 @@ def test_oracle_labels_match_rule():
     for n in range(1, 7):
         for a in core.enumerate_avoiders(n, [gt.QUAD_PATTERN]):
             got = Counter(
-                gt.triple_label(a + (d,))
-                for d in core.valid_append_set(a, [gt.QUAD_PATTERN])
+                label(a + (d,)) for d in core.valid_append_set(a, [gt.QUAD_PATTERN])
             )
-            assert got == gt.triple_children(gt.triple_label(a)), a
+            assert got == gt.triple_children(label(a)), a
 
 
 def test_csv_rows_schema():

@@ -152,6 +152,20 @@ def test_diagonal():
     assert all(diag.coeff(n) == 1 for n in range(1, 11))
 
 
+def test_mseries_coeff_rejects_bad_exponents():
+    C = build_closed_form("C_0021", 8)
+    assert C.coeff((1, 2, 3)) == 1  # g0(3; 1, 2)
+    # a check written with the wrong arity must not read a silent zero
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        C.coeff((1, 2))
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        C.coeff((1, 2, 3, 0))
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        C.coeff((-1, 2, 3))
+    with pytest.raises(IndexError):
+        C.coeff((1, 2, 6))
+
+
 def test_reference_sequences():
     assert [catalan(k) for k in range(6)] == [1, 1, 2, 5, 14, 42]
     assert binom(6, 2) == 15 and binom(5, 7) == 0
@@ -274,12 +288,23 @@ def test_ring_axioms_randomized():
 
 
 def test_series_json_roundtrip():
+    # the documented output format: variables, order, and the nonzero terms
+    # as [exponents..., "num/den"] in increasing exponent order
     f = build_closed_form("f", 6)
-    d = json.loads(json.dumps(f.to_json_dict()))
-    assert USeries.from_json_dict(d) == f
+    assert json.loads(json.dumps(f.to_json_dict())) == {
+        "variables": ["z"],
+        "order": 6,
+        "terms": [[0, "1/1"], [1, "1/1"], [2, "3/1"], [3, "10/1"],
+                  [4, "36/1"], [5, "137/1"], [6, "543/1"]],
+    }
+    u = USeries.poly("y", 3, {1: Fraction(-1, 2), 3: 4})
+    assert u.to_json_dict()["terms"] == [[1, "-1/2"], [3, "4/1"]]
     C = build_closed_form("C_pair", 8)
     d = json.loads(json.dumps(C.to_json_dict()))
-    assert MSeries.from_json_dict(d) == C
+    assert d["variables"] == ["x", "y"] and d["order"] == 8
+    assert d["terms"][:2] == [[1, 1, "1/1"], [1, 2, "1/1"]]
+    assert [tuple(t[:-1]) for t in d["terms"]] == sorted(C.terms)
+    assert all(Fraction(t[-1]) == C.coeff(tuple(t[:-1])) for t in d["terms"])
 
 
 # ---------------------------------------------------------------------------
