@@ -113,8 +113,9 @@ def _cmd_enumerate(args, parser) -> int:
 def _cmd_table(args, parser) -> int:
     n = args.n
     if args.family == "pair":
-        dense = gpair.dense_array(n)
-        rows = [f"{a},{b},{c},{d}" for a, b, c, d in gpair.csv_rows(n)]
+        table = gpair.pair_recurrence_table(n)
+        dense = table.dense()
+        rows = [f"{a},{b},{c},{d}" for a, b, c, d in gpair.csv_rows(table)]
         csv_text = "\n".join(["n,p,q,g"] + rows)
     else:
         tables = g0021.triple_recurrence_tables(n)
@@ -122,7 +123,7 @@ def _cmd_table(args, parser) -> int:
         cls = "g0" if args.family == "a0" else "g1"
         rows = [
             f"{a},{b},{c},{d},{e}"
-            for a, b, c, d, e in g0021.csv_rows(n)
+            for a, b, c, d, e in g0021.csv_rows(tables)
             if b == cls
         ]
         csv_text = "\n".join(["n,class,q,r,count"] + rows)

@@ -307,7 +307,9 @@ def _walk(
     return counts, collected
 
 
+# counts of the most recently counted pattern sets, least recent first
 _COUNT_CACHE: dict[tuple[Word, ...], list[int]] = {}
+_COUNT_CACHE_SIZE = 8
 
 
 def enumerate_avoiders(
@@ -325,16 +327,18 @@ def count_avoiders(n_max: int, patterns: Iterable[Sequence[int]]) -> list[int]:
     """Sizes of the avoidance class for lengths 1..n_max.
 
     Counting walks the extension tree without materialising the sequences;
-    results are cached per pattern set.
+    results are cached for the last few pattern sets counted.
     """
     if n_max < 1:
         return []
     B = _normalize_patterns(patterns)
-    cached = _COUNT_CACHE.get(B)
+    cached = _COUNT_CACHE.pop(B, None)
     if cached is None or len(cached) < n_max:
         counts, _ = _walk(n_max, B, want_length=None)
         cached = counts[1:]
-        _COUNT_CACHE[B] = cached
+    _COUNT_CACHE[B] = cached
+    if len(_COUNT_CACHE) > _COUNT_CACHE_SIZE:
+        del _COUNT_CACHE[next(iter(_COUNT_CACHE))]
     return list(cached[:n_max])
 
 

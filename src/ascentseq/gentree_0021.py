@@ -16,14 +16,16 @@ p in {q-2, q-1, q}, giving three succession rules:
 
 rooted at (0, 2, 0).  Level counts are classified by the three cases into
 tables g0 (p = q), g1 (p = q-1), and the single g2 node (p = q-2) per
-level, mirrored by bottom-up recurrences.
+level, mirrored by bottom-up recurrences.  The simulator expands the rules
+literally, child by child; the recurrences share nothing with it and run
+on running sums, at O(n^2) per level.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "QUAD_PATTERN",
@@ -99,34 +101,40 @@ def _classify(label: tuple[int, int, int]) -> int:
     raise ValueError(f"invalid label {label}: p must be q-2, q-1 or q")
 
 
-def triple_children(label: tuple[int, int, int]) -> Counter:
-    """Multiset of child labels under the matching succession rule."""
+def _rule(label: tuple[int, int, int]) -> Iterator[tuple[int, int, int]]:
+    """The succession rules, written once: each child label of a validated
+    label, repeated as often as it occurs."""
     kind = _classify(label)
     p, q, r = label
-    children: Counter = Counter()
     if kind == 2:
-        children[(q - 1, q + 1, 0)] += 1
+        yield (q - 1, q + 1, 0)
         for i in range(0, q - 1):
-            children[(i, i + 1, q - 1 - i)] += 1
+            yield (i, i + 1, q - 1 - i)
     elif kind == 1:
-        children[(q - 1, q, r)] += 1
+        yield (q - 1, q, r)
         for i in range(0, q - 1):
-            children[(i, i + 1, q + r - 1 - i)] += 1
+            yield (i, i + 1, q + r - 1 - i)
         for i in range(2, r + 2):
-            children[(q, q, i)] += 1
+            yield (q, q, i)
     else:
-        children[(q, q, r)] += 1
+        yield (q, q, r)
         for i in range(0, q):
-            children[(i, i + 1, q + r - 1 - i)] += 1
+            yield (i, i + 1, q + r - 1 - i)
         for i in range(2, r + 1):
-            children[(q, q, i)] += 1
-    return children
+            yield (q, q, i)
 
 
-def _classify_level(n: int, labels: Counter) -> TripleLevelTables:
+def triple_children(label: tuple[int, int, int]) -> Counter:
+    """Multiset of child labels under the matching succession rule."""
+    return Counter(_rule(label))
+
+
+def _classify_level(
+    n: int, labels: dict[tuple[int, int, int], int]
+) -> TripleLevelTables:
     g0: dict[tuple[int, int], int] = {}
     g1: dict[tuple[int, int], int] = {}
-    g2 = []
+    g2 = []  # (q, count) of each (q-2, q, 0) label
     for (p, q, r), count in labels.items():
         kind = _classify((p, q, r))
         if kind == 0:
@@ -134,25 +142,26 @@ def _classify_level(n: int, labels: Counter) -> TripleLevelTables:
         elif kind == 1:
             g1[(q, r)] = g1.get((q, r), 0) + count
         else:
-            g2.extend([q] * count)
-    if g2 != [n + 1]:
+            g2.append((q, count))
+    if g2 != [(n + 1, 1)]:
         raise ValueError(
-            f"level {n}: expected one (q-2, q, 0) node with q = {n + 1}, got {g2}"
+            f"level {n}: expected one (q-2, q, 0) node with q = {n + 1}, "
+            f"got (q, count) {g2}"
         )
-    return TripleLevelTables(n, g0, g1, g2[0])
+    return TripleLevelTables(n, g0, g1, n + 1)
 
 
 def simulate_0021_levels(n_max: int) -> list[TripleLevelTables]:
     """Classified label counts for levels 1..n_max, grown from the root."""
     if n_max < 1:
         return []
-    labels: Counter = Counter({(0, 2, 0): 1})
+    labels = {(0, 2, 0): 1}
     out = [_classify_level(1, labels)]
     for n in range(2, n_max + 1):
-        nxt: Counter = Counter()
+        nxt: dict[tuple[int, int, int], int] = {}
         for label, count in labels.items():
-            for child, mult in triple_children(label).items():
-                nxt[child] += count * mult
+            for child in _rule(label):
+                nxt[child] = nxt.get(child, 0) + count
         labels = nxt
         out.append(_classify_level(n, labels))
     return out
@@ -163,13 +172,25 @@ def triple_recurrence_levels(n_max: int) -> list[TripleLevelTables]:
 
     Case order follows the recurrences as stated: zero guards first, then
     the boundary ones on q + r = n, then the two-level sums.  Empty sums
-    are zero.
+    are zero.  The g1 sums are suffix sums along each antidiagonal
+    q + r = s of the level below and the g0 sums suffix sums along each of
+    its rows, so a level costs O(n^2).
     """
     if n_max < 1:
         return []
     out = [TripleLevelTables(1, {}, {}, 2)]
     for n in range(2, n_max + 1):
-        prev = out[-1]
+        prev0, prev1 = out[-1].g0.get, out[-1].g1.get
+        # diagonal[(q, r)], s = q + r < n: g1(i, s-i) one level down summed
+        # over q <= i < s, plus g0(i, s-i) over q <= i < s-1; q walks down
+        diagonal: dict[tuple[int, int], int] = {}
+        for s in range(2, n):
+            acc = 0
+            for q in range(s - 1, 0, -1):
+                acc += prev1((q, s - q), 0)
+                if q < s - 1:
+                    acc += prev0((q, s - q), 0)
+                diagonal[(q, s - q)] = acc
         g1: dict[tuple[int, int], int] = {}
         for q in range(1, n + 1):
             for r in range(0, n - q + 1):
@@ -180,21 +201,24 @@ def triple_recurrence_levels(n_max: int) -> list[TripleLevelTables]:
                 if q + r == n and r > 0:
                     g1[(q, r)] = 1
                 elif q + r < n:
-                    s = q + r
-                    val = sum(prev.value1(i, s - i) for i in range(q, s))
-                    val += sum(prev.value0(i, s - i) for i in range(q, s - 1))
+                    val = diagonal.get((q, r), 0)
                     if val:
                         g1[(q, r)] = val
         g0: dict[tuple[int, int], int] = {}
         if n > 2:
             for q in range(1, n + 1):
+                # row[r]: g0(q, i) one level down summed over r <= i < n-q,
+                # plus g1(q, i) over r-1 <= i < n-q; r walks down from n-q-1
+                row: dict[int, int] = {}
+                acc = prev1((q, n - q - 1), 0)
+                for r in range(n - q - 1, 1, -1):
+                    acc += prev0((q, r), 0) + prev1((q, r - 1), 0)
+                    row[r] = acc
                 for r in range(2, n - q + 1):
                     if q + r == n and n >= q + 2:
                         g0[(q, r)] = 1
                     elif q + r < n:
-                        val = prev.value0(q, r)
-                        val += sum(prev.value0(q, i) for i in range(r, n - q))
-                        val += sum(prev.value1(q, i) for i in range(r - 1, n - q))
+                        val = prev0((q, r), 0) + row[r]
                         if val:
                             g0[(q, r)] = val
         out.append(TripleLevelTables(n, g0, g1, n + 1))
@@ -224,12 +248,12 @@ def dense_a1(tables: TripleLevelTables) -> list[list[int]]:
     ]
 
 
-def csv_rows(n: int) -> list[tuple[int, str, int, int, int]]:
-    """Nonzero level-n entries as (n, class, q, r, count) rows.
+def csv_rows(tables: TripleLevelTables) -> list[tuple[int, str, int, int, int]]:
+    """Nonzero entries of a level as (n, class, q, r, count) rows.
 
     Classes are emitted in the order g0, g1, g2, each sorted by (q, r).
     """
-    tables = triple_recurrence_tables(n)
+    n = tables.n
     rows: list[tuple[int, str, int, int, int]] = []
     for (q, r) in sorted(tables.g0):
         rows.append((n, "g0", q, r, tables.g0[(q, r)]))

@@ -10,14 +10,17 @@ all its one-step extensions, so the whole class is generated by the rule
 rooted at (0, 1).  This module simulates the tree level by level, computes
 the same level tables bottom-up from the label-count recurrence, derives
 the column sums c and diagonal entries d of each level array, and checks
-the seven cross-level identities that those arrays satisfy.
+the seven cross-level identities that those arrays satisfy.  The simulator
+and the recurrence share nothing but the label type: the simulator expands
+the rule literally, child by child, and the recurrence runs on running
+sums, at O(n^2) per level.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "PAIR_PATTERNS",
@@ -82,15 +85,22 @@ def _check_label(label: tuple[int, int]) -> tuple[int, int]:
     return p, q
 
 
+def _rule(label: tuple[int, int]) -> Iterator[tuple[tuple[int, int], int]]:
+    """The succession rule, written once: each child label of a validated
+    label with its multiplicity."""
+    p, q = _check_label(label)
+    if p:
+        yield (0, 1 + q - p), p
+    yield (p, q), 1
+    for i in range(p + 1, q + 1):
+        yield (i, q + 1), 1
+
+
 def pair_children(label: tuple[int, int]) -> Counter:
     """Multiset of child labels under the succession rule."""
-    p, q = _check_label(label)
     children: Counter = Counter()
-    if p:
-        children[(0, 1 + q - p)] += p
-    children[(p, q)] += 1
-    for i in range(p + 1, q + 1):
-        children[(i, q + 1)] += 1
+    for child, mult in _rule(label):
+        children[child] += mult
     return children
 
 
@@ -100,11 +110,11 @@ def simulate_pair_levels(n_max: int) -> list[PairLevelTable]:
         return []
     levels = [PairLevelTable(1, {(0, 1): 1})]
     for n in range(2, n_max + 1):
-        nxt: Counter = Counter()
+        nxt: dict[tuple[int, int], int] = {}
         for label, count in levels[-1].g.items():
-            for child, mult in pair_children(label).items():
-                nxt[child] += count * mult
-        levels.append(PairLevelTable(n, dict(nxt)))
+            for child, mult in _rule(label):
+                nxt[child] = nxt.get(child, 0) + count * mult
+        levels.append(PairLevelTable(n, nxt))
     return levels
 
 
@@ -113,24 +123,28 @@ def pair_recurrence_levels(n_max: int) -> list[PairLevelTable]:
 
     A level-n node with p = 0 comes from a (0, q) node one level down or, i
     times over, from an (i, q-1+i) node; one with p > 0 comes from a (p, q)
-    node or from an (i, q-1) node with i < p.  Empty sums are zero.
+    node or from an (i, q-1) node with i < p.  Empty sums are zero.  Both
+    sums run on running totals, so a level costs O(n^2): one weighted sum
+    per diagonal of the level below, and a prefix sum down each column.
     """
     if n_max < 1:
         return []
     levels = [PairLevelTable(1, {(0, 1): 1})]
     for n in range(2, n_max + 1):
         prev = levels[-1].g
+        # diagonal[d] = sum_i i * prev(i, i+d), the p = 0 sum for q = d+1
+        diagonal = [0] * n
+        for (i, j), val in prev.items():
+            diagonal[j - i] += i * val
         g: dict[tuple[int, int], int] = {}
         for q in range(1, n + 1):
+            below = 0  # prev(i, q-1) summed over i < p
             for p in range(0, q):
                 if p == 0:
-                    val = prev.get((0, q), 0)
-                    for i in range(1, n - q + 1):
-                        val += i * prev.get((i, q - 1 + i), 0)
+                    val = prev.get((0, q), 0) + diagonal[q - 1]
                 else:
-                    val = prev.get((p, q), 0)
-                    for i in range(0, p):
-                        val += prev.get((i, q - 1), 0)
+                    below += prev.get((p - 1, q - 1), 0)
+                    val = prev.get((p, q), 0) + below
                 if val:
                     g[(p, q)] = val
         levels.append(PairLevelTable(n, g))
@@ -249,7 +263,6 @@ def dense_array(n: int) -> list[list[int]]:
     return pair_recurrence_table(n).dense()
 
 
-def csv_rows(n: int) -> list[tuple[int, int, int, int]]:
-    """Nonzero level-n entries as (n, p, q, count) rows, sorted by (p, q)."""
-    table = pair_recurrence_table(n)
-    return [(n, p, q, table.g[(p, q)]) for (p, q) in sorted(table.g)]
+def csv_rows(table: PairLevelTable) -> list[tuple[int, int, int, int]]:
+    """Nonzero entries of a level as (n, p, q, count) rows, sorted by (p, q)."""
+    return [(table.n, p, q, table.g[(p, q)]) for (p, q) in sorted(table.g)]

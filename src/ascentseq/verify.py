@@ -296,7 +296,8 @@ def _tree_records(
     if residual_order is None:
         residual_order = min(gf_order, spec.residual_cap)
     sim = spec.simulate(n_max)
-    recur = spec.recurrence(max(recur_max, gf_order // 2))
+    # as deep as the deepest record reading it: pentagon, recurrence, gf checks
+    recur = spec.recurrence(max(n_max, recur_max, gf_order // 2))
 
     brute = count_avoiders(n_max, spec.patterns)
     bad = [
@@ -458,9 +459,11 @@ def crosscheck_0021(
             bad.append((n,))
     _add(records, "t0021.counts.simulation_vs_recurrence", f"n<={n_max}", bad)
 
+    # the golden arrays may reach past every other record's levels
+    golden = recur if golden_max <= len(recur) else _T0021.recurrence(golden_max)
     bad = []
     for n in range(2, golden_max + 1):
-        t = recur[n - 1]
+        t = golden[n - 1]
         for name, got, want in (
             ("g0", g0021.dense_a0(t), golden_a0[n]),
             ("g1", g0021.dense_a1(t), golden_a1[n]),

@@ -4,6 +4,8 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from ascentseq import gentree_0021 as gt
+from ascentseq import gentree_pair as gp
 from ascentseq.cli import main
 
 
@@ -92,6 +94,26 @@ def test_table_a0_a1():
     lines = out.splitlines()
     assert lines[0] == "n,class,q,r,count"
     assert lines[1:] == ["4,g0,1,2,4", "4,g0,1,3,1", "4,g0,2,2,1"]
+
+
+@pytest.mark.parametrize("family", ["pair", "a0", "a1"])
+def test_table_runs_the_recurrence_once(monkeypatch, family):
+    if family == "pair":
+        module, name = gp, "pair_recurrence_levels"
+    else:
+        module, name = gt, "triple_recurrence_levels"
+    real = getattr(module, name)
+    calls = []
+
+    def counted(n_max):
+        calls.append(n_max)
+        return real(n_max)
+
+    monkeypatch.setattr(module, name, counted)
+    for fmt in ("plain", "csv", "json"):
+        calls.clear()
+        code, _ = run(["table", "--family", family, "--n", "6", "--format", fmt])
+        assert code == 0 and calls == [6], fmt
 
 
 def test_csv_output_is_stable():

@@ -191,6 +191,20 @@ def test_counts_monotone():
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
+def test_count_cache_is_bounded_and_unaliased(monkeypatch):
+    monkeypatch.setattr(core, "_COUNT_CACHE", {})
+    sets = [[(0,) * k] for k in range(2, 2 + core._COUNT_CACHE_SIZE + 3)]
+    first = [core.count_avoiders(6, B) for B in sets]
+    assert len(core._COUNT_CACHE) == core._COUNT_CACHE_SIZE
+    assert [core.count_avoiders(6, B) for B in sets] == first
+    assert len(core._COUNT_CACHE) <= core._COUNT_CACHE_SIZE
+    got = core.count_avoiders(6, sets[-1])
+    got[0] = -1
+    got.append(99)
+    assert core.count_avoiders(6, sets[-1]) == first[-1]
+    assert core.count_avoiders(3, sets[-1]) == first[-1][:3]
+
+
 def test_count_with_no_patterns_gives_all_ascent_sequences():
     counts = core.count_avoiders(7, ())
     assert counts == [len(all_ascent_sequences(n)) for n in range(1, 8)]

@@ -4,6 +4,7 @@ import pytest
 
 from ascentseq import core
 from ascentseq import gentree_0021 as gt
+from ascentseq.series import a007317
 
 A0_4 = [[4, 1], [1, 0]]
 A1_4 = [[1, 3, 1], [1, 1, 0], [1, 0, 0]]
@@ -106,13 +107,28 @@ def test_recurrence_tables():
     assert gt.dense_a1(t8) == A1_8
 
 
-def test_simulation_matches_recurrence_to_12():
-    sim = gt.simulate_0021_levels(12)
-    rec = gt.triple_recurrence_levels(12)
+def test_simulation_matches_recurrence_to_40():
+    sim = gt.simulate_0021_levels(40)
+    rec = gt.triple_recurrence_levels(40)
+    assert len(sim) == len(rec) == 40
     for s, r in zip(sim, rec):
-        assert s.g0 == r.g0, s.n
-        assert s.g1 == r.g1, s.n
-        assert s.g2_q == r.g2_q, s.n
+        assert s == r, s.n
+
+
+def test_recurrence_totals_match_formula_to_80():
+    rec = gt.triple_recurrence_levels(80)
+    assert [t.total() for t in rec] == [a007317(n) for n in range(1, 81)]
+
+
+def test_wrong_count_of_increasing_node_is_rejected():
+    # a count this large must be reported, not expanded into a list
+    with pytest.raises(ValueError, match="expected one"):
+        gt._classify_level(3, {(2, 4, 0): 10**30})
+    with pytest.raises(ValueError, match="expected one"):
+        gt._classify_level(3, {(2, 4, 0): 2})
+    with pytest.raises(ValueError, match="expected one"):
+        gt._classify_level(3, {(0, 1, 2): 1})
+    assert gt._classify_level(3, {(2, 4, 0): 1}).g2_q == 4
 
 
 def test_totals_match_brute_force():
@@ -146,7 +162,7 @@ def test_oracle_labels_match_rule():
 
 
 def test_csv_rows_schema():
-    rows = gt.csv_rows(3)
+    rows = gt.csv_rows(gt.triple_recurrence_tables(3))
     assert rows == [
         (3, "g0", 1, 2, 1),
         (3, "g1", 1, 1, 1),

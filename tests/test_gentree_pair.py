@@ -4,6 +4,7 @@ import pytest
 
 from ascentseq import core
 from ascentseq import gentree_pair as gp
+from ascentseq.series import a007317
 
 A4 = [[1, 5, 0, 0], [0, 3, 1, 0], [0, 0, 4, 0], [0, 0, 0, 1]]
 A5 = [
@@ -80,11 +81,17 @@ def test_recurrence_base_and_tables():
     assert gp.dense_array(7) == A7
 
 
-def test_simulation_matches_recurrence_to_12():
-    sim = gp.simulate_pair_levels(12)
-    rec = gp.pair_recurrence_levels(12)
+def test_simulation_matches_recurrence_to_40():
+    sim = gp.simulate_pair_levels(40)
+    rec = gp.pair_recurrence_levels(40)
+    assert len(sim) == len(rec) == 40
     for s, r in zip(sim, rec):
-        assert s.g == r.g, s.n
+        assert s == r, s.n
+
+
+def test_recurrence_totals_match_formula_to_80():
+    rec = gp.pair_recurrence_levels(80)
+    assert [t.total() for t in rec] == [a007317(n) for n in range(1, 81)]
 
 
 def test_totals_match_brute_force():
@@ -150,7 +157,7 @@ def test_oracle_labels_match_rule():
 
 
 def test_csv_rows_sorted_and_complete():
-    rows = gp.csv_rows(4)
+    rows = gp.csv_rows(gp.pair_recurrence_table(4))
     assert rows == [
         (4, 0, 1, 1),
         (4, 0, 2, 5),

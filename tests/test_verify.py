@@ -1,11 +1,14 @@
 import copy
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
 
+from ascentseq import core, verify
 from ascentseq import gentree_0021 as gt
 from ascentseq import gentree_pair as gp
-from ascentseq import verify
+from ascentseq.cli import main
 
 
 def test_golden_constants_match_recurrences():
@@ -138,6 +141,36 @@ def test_combine_reports():
     )
     assert merged.suite == "all"
     assert len(merged.records) == 4
+
+
+def test_shallow_recur_max_still_reports():
+    # the pentagon reads n_max levels and the 0021 golden arrays golden_max
+    # levels, both deeper than recur_max here
+    pair = verify.crosscheck_pair(n_max=10, gf_order=10, recur_max=2)
+    t0021 = verify.crosscheck_0021(n_max=4, gf_order=8, recur_max=5)
+    assert pair.passed and t0021.passed
+    assert _record(pair, "pair.counts.pentagon").scope == "n<=10"
+    assert _record(pair, "pair.counts.recurrence_vs_formula").scope == "n<=2"
+    assert _record(t0021, "t0021.golden.level_arrays").scope == "n<=8"
+    assert _record(t0021, "t0021.counts.recurrence_vs_formula").scope == "n<=5"
+
+
+def test_verify_all_walks_0021_once(monkeypatch):
+    real = core._walk
+    walks = []
+
+    def counted(n_max, patterns, want_length, visit=None):
+        if visit is None:
+            walks.append(patterns)
+        return real(n_max, patterns, want_length, visit)
+
+    monkeypatch.setattr(core, "_COUNT_CACHE", {})
+    monkeypatch.setattr(core, "_walk", counted)
+    with redirect_stdout(io.StringIO()):
+        code = main(["verify", "--suite", "all", "--n-max", "6", "--order", "12"])
+    assert code == 0
+    assert walks.count((gt.QUAD_PATTERN,)) == 1
+    assert len(walks) == len(set(walks)) == 3
 
 
 def test_invalid_ranges_rejected():
