@@ -72,7 +72,7 @@ def _count_by_method(patterns, n: int, method: str, parser) -> int:
         )
     if method == "formula":
         return a007317(n)
-    return int(build_closed_form(spec.total_gf, n).coeff(n))
+    return int(build_closed_form(spec.total_gf, n).coeff((n,)))
 
 
 def _cmd_count(args, parser) -> int:

@@ -1,23 +1,25 @@
 """Exact truncated formal power series over arbitrary-precision rationals.
 
-Two representations: USeries is a dense univariate series, MSeries a
-sparse series in two or three variables truncated by total degree (the
-count tables are triangular, so total-degree order N captures levels
-1..N exactly).  Stored coefficients are fractions.Fraction throughout, so
-every operation is exact; equality of series means equality of every
-stored coefficient.  The O(N^2) kernels (products and inverses) write
-their operands as integer numerators over one common denominator, run
-their loops on plain ints, and build each Fraction once at the end.
+MSeries is a sparse series in one, two or three variables truncated by
+total degree (the count tables are triangular, so total-degree order N
+captures levels 1..N exactly).  Stored coefficients are fractions.Fraction
+throughout, so every operation is exact; equality of series means equality
+of every stored coefficient.  The O(N^2) kernels (products and inverses)
+write their operands as integer numerators over one common denominator and
+pack each exponent tuple into one int, sum e_i (N+1)^i, so that adding
+exponents is adding ints; the total-degree cut keeps every digit below the
+base, so the sums never carry.  The loops run on plain ints, and each
+Fraction and exponent tuple is built once at the end.
 
 On top of the ring operations sit the closed forms used by the avoidance
 counts: the column and diagonal generating functions of the pair tree,
 the g0/g1 generating functions of the 0021 tree, the class totals, and
-the two univariate series f and g tied to the column structure of the g0
-arrays.  All of them are rational expressions over the one univariate
+the two one-variable series f and g tied to the column structure of the
+g0 arrays.  All of them are rational expressions over the one univariate
 radical sqrt(5t^2 - 6t + 1), t being y or z.  The radical is expanded
-once as a USeries by Newton iteration and, for the multivariate forms,
-lifted into the MSeries ring; the rest is exact multiplication and
-inversion.
+once as a one-variable series by Newton iteration and, for the
+multivariate forms, lifted into the ring of their variables; the rest is
+exact multiplication and inversion.
 `residual` substitutes the closed forms into the functional equations
 they are supposed to solve, with denominators cleared to polynomial
 form, and returns what should be the zero series.
@@ -29,12 +31,11 @@ import math
 from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "InexactDivisionError",
-    "USeries",
     "MSeries",
     "catalan",
     "binom",
@@ -60,193 +61,36 @@ def _over_common(values: Iterable[Fraction]) -> tuple[list[int], int]:
 
 
 # ---------------------------------------------------------------------------
-# Univariate series
-# ---------------------------------------------------------------------------
-
-
-class USeries:
-    """Truncated univariate power series with exact rational coefficients."""
-
-    __slots__ = ("var", "order", "coeffs")
-
-    def __init__(self, var: str, order: int, coeffs: Iterable):
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) != order + 1:
-            raise ValueError(f"need {order + 1} coefficients, got {len(cs)}")
-        self.var = var
-        self.order = order
-        self.coeffs = cs
-
-    @classmethod
-    def poly(cls, var: str, order: int, terms: Mapping[int, int | Fraction]) -> "USeries":
-        cs = [F0] * (order + 1)
-        for k, c in terms.items():
-            if k < 0:
-                raise ValueError("negative exponent")
-            if k <= order:
-                cs[k] += Fraction(c)
-        return cls(var, order, cs)
-
-    @classmethod
-    def zero(cls, var: str, order: int) -> "USeries":
-        return cls(var, order, [F0] * (order + 1))
-
-    @classmethod
-    def one(cls, var: str, order: int) -> "USeries":
-        return cls.poly(var, order, {0: 1})
-
-    def coeff(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient {k} outside truncation order {self.order}")
-        return self.coeffs[k]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def truncate(self, order: int) -> "USeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return USeries(self.var, order, self.coeffs[: order + 1])
-
-    def _check_compatible(self, other: "USeries") -> None:
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, USeries):
-            return NotImplemented
-        return (
-            self.var == other.var
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.var, self.order, tuple(self.coeffs)))
-
-    def __add__(self, other: "USeries") -> "USeries":
-        self._check_compatible(other)
-        return USeries(
-            self.var, self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "USeries") -> "USeries":
-        self._check_compatible(other)
-        return USeries(
-            self.var, self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self) -> "USeries":
-        return USeries(self.var, self.order, [-c for c in self.coeffs])
-
-    def scale(self, c) -> "USeries":
-        c = Fraction(c)
-        return USeries(self.var, self.order, [c * a for a in self.coeffs])
-
-    def __mul__(self, other: "USeries") -> "USeries":
-        self._check_compatible(other)
-        n = self.order
-        a, da = _over_common(self.coeffs)
-        b, db = _over_common(reversed(other.coeffs))
-        # coefficient k pairs a[0..k] with other's k..0, i.e. b[n-k..n]
-        den = da * db
-        return USeries(
-            self.var,
-            n,
-            [Fraction(sum(map(mul, a[: k + 1], b[n - k :])), den) for k in range(n + 1)],
-        )
-
-    def invert_unit(self) -> "USeries":
-        """Multiplicative inverse; requires a nonzero constant term.
-
-        With self = A / da over integers, coefficient d of the inverse is
-        da * q[d] / A[0]^(d+1), where q[0] = 1 and
-        q[d] = -sum_{u>=1} A[u] * A[0]^(u-1) * q[d-u].
-        """
-        a, da = _over_common(self.coeffs)
-        a0 = a[0]
-        if not a0:
-            raise ValueError("series with zero constant term is not invertible")
-        b = []  # b[u-1] = A[u] * A[0]^(u-1)
-        p = 1
-        for c in a[1:]:
-            b.append(c * p)
-            p *= a0
-        q = [1]
-        for d in range(1, self.order + 1):
-            q.append(-sum(map(mul, b[:d], reversed(q))))
-        out = []
-        p = a0
-        for c in q:
-            out.append(Fraction(da * c, p))
-            p *= a0
-        return USeries(self.var, self.order, out)
-
-    def sqrt_unit(self) -> "USeries":
-        """Square root with constant term 1, by Newton iteration.
-
-        Starts from the constant series 1 and doubles the trusted order
-        each step via s <- (s + a/s) / 2.
-        """
-        if self.coeffs[0] != 1:
-            raise ValueError("sqrt requires constant term 1")
-        s = USeries.one(self.var, 0)
-        m = 0
-        while m < self.order:
-            m = min(2 * m + 1, self.order)
-            s_ext = USeries(self.var, m, s.coeffs + [F0] * (m - s.order))
-            a_trunc = self.truncate(m)
-            s = (s_ext + a_trunc * s_ext.invert_unit()).scale(Fraction(1, 2))
-        return s
-
-    def shift_down(self, k: int) -> "USeries":
-        """Divide by var**k; the k lowest coefficients must vanish."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if any(self.coeffs[:k]):
-            raise InexactDivisionError(
-                f"nonzero coefficient below {self.var}^{k}; cannot shift down"
-            )
-        return USeries(self.var, self.order - k, self.coeffs[k:])
-
-    def shift_up(self, k: int) -> "USeries":
-        """Multiply by var**k, keeping the truncation order."""
-        if k < 0:
-            raise ValueError("negative shift")
-        cs = ([F0] * k + self.coeffs)[: self.order + 1]
-        return USeries(self.var, self.order, cs)
-
-    def __repr__(self) -> str:
-        parts = [
-            f"{c}*{self.var}^{k}" for k, c in enumerate(self.coeffs) if c
-        ] or ["0"]
-        return f"USeries({' + '.join(parts[:8])}{' + ...' if len(parts) > 8 else ''})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "variables": [self.var],
-            "order": self.order,
-            "terms": [
-                [k, f"{c.numerator}/{c.denominator}"]
-                for k, c in enumerate(self.coeffs)
-                if c
-            ],
-        }
-
-
-# ---------------------------------------------------------------------------
-# Multivariate series
+# The series ring
 # ---------------------------------------------------------------------------
 
 Exp = tuple[int, ...]
 
 
+def _packing(nvars: int, order: int):
+    """Kronecker packing of exponent tuples into ints, e -> sum e_i b^i with
+    base b = order + 1, and its inverse.  Every digit of a sum of keys whose
+    total degree stays within the order is at most the order, so the sum
+    never carries: it is the key of the summed exponents."""
+    base = order + 1
+    weights = [base**i for i in range(nvars)]
+
+    def pack(e: Exp) -> int:
+        return sum(map(mul, e, weights))
+
+    def unpack(k: int) -> Exp:
+        e = []
+        for _ in weights:
+            k, r = divmod(k, base)
+            e.append(r)
+        return tuple(e)
+
+    return pack, unpack
+
+
 class MSeries:
-    """Sparse multivariate power series truncated by total degree."""
+    """Sparse power series in one to three variables, truncated by total
+    degree."""
 
     __slots__ = ("vars", "order", "terms")
 
@@ -254,8 +98,8 @@ class MSeries:
         if order < 0:
             raise ValueError("order must be non-negative")
         vs = tuple(variables)
-        if len(vs) not in (2, 3) or len(set(vs)) != len(vs):
-            raise ValueError("need two or three distinct variable names")
+        if not 1 <= len(vs) <= 3 or len(set(vs)) != len(vs):
+            raise ValueError("need one to three distinct variable names")
         self.vars = vs
         self.order = order
         clean: dict[Exp, Fraction] = {}
@@ -283,9 +127,6 @@ class MSeries:
     @classmethod
     def one(cls, variables: Sequence[str], order: int) -> "MSeries":
         return cls(variables, order, {(0,) * len(tuple(variables)): 1})
-
-    def _zero_exp(self) -> Exp:
-        return (0,) * len(self.vars)
 
     def coeff(self, exps: Exp) -> Fraction:
         e = tuple(exps)
@@ -335,15 +176,7 @@ class MSeries:
         return self._wrap(out)
 
     def __sub__(self, other: "MSeries") -> "MSeries":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nv = out.get(e, F0) - c
-            if nv:
-                out[e] = nv
-            else:
-                out.pop(e, None)
-        return self._wrap(out)
+        return self + -other
 
     def __neg__(self) -> "MSeries":
         return self._wrap({e: -c for e, c in self.terms.items()})
@@ -363,46 +196,84 @@ class MSeries:
 
     def __mul__(self, other: "MSeries") -> "MSeries":
         self._check_compatible(other)
+        pack, unpack = _packing(len(self.vars), self.order)
         a, da = _over_common(self.terms.values())
         nb, db = _over_common(other.terms.values())
         # other's terms by total degree: each term of self meets the prefix
-        # that stays within the order
-        b = sorted(zip(map(sum, other.terms), other.terms, nb))
+        # that stays within the order, so no sum of keys carries
+        b = sorted(zip(map(sum, other.terms), map(pack, other.terms), nb))
         degs = [t[0] for t in b]
-        acc: defaultdict[Exp, int] = defaultdict(int)
+        b = [t[1:] for t in b]
+        acc: defaultdict[int, int] = defaultdict(int)
         for ea, ca in zip(self.terms, a):
-            for _, eb, cb in b[: bisect_right(degs, self.order - sum(ea))]:
-                acc[tuple(map(add, ea, eb))] += ca * cb
+            ka = pack(ea)
+            for kb, cb in b[: bisect_right(degs, self.order - sum(ea))]:
+                acc[ka + kb] += ca * cb
         den = da * db
-        return self._wrap({e: Fraction(c, den) for e, c in acc.items() if c})
+        return self._wrap({unpack(k): Fraction(c, den) for k, c in acc.items() if c})
 
     def invert_unit(self) -> "MSeries":
-        """Multiplicative inverse, built degree slice by degree slice on the
-        integer recurrence of USeries.invert_unit, with A[u] standing for
-        every term of total degree u."""
-        zero = self._zero_exp()
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        With self = A / da over integers and |e| the total degree of e, the
+        coefficient of e in the inverse is da * q[e] / A[0]^(|e|+1), where
+        q[0] = 1 and q[e] = -sum_{f != 0} A[f] * A[0]^(|f|-1) * q[e-f].
+        Once every q of degree d is known, its products with the terms of
+        self are pushed into the degrees above.
+        """
+        pack, unpack = _packing(len(self.vars), self.order)
         nums, da = _over_common(self.terms.values())
         a = dict(zip(self.terms, nums))
-        a0 = a.pop(zero, 0)
+        a0 = a.pop((0,) * len(self.vars), 0)
         if not a0:
             raise ValueError("series with zero constant term is not invertible")
-        b: list[list[tuple[Exp, int]]] = [[] for _ in range(self.order + 1)]
-        for e, c in a.items():
-            u = sum(e)
-            b[u].append((e, c * a0 ** (u - 1)))
-        q: list[dict[Exp, int]] = [{zero: 1}]
-        out = {zero: Fraction(da, a0)}
-        p = a0
-        for d in range(1, self.order + 1):
-            acc: defaultdict[Exp, int] = defaultdict(int)
-            for u in range(1, d + 1):
-                for eq, cq in q[d - u].items():
-                    for ea, ca in b[u]:
-                        acc[tuple(map(add, ea, eq))] += ca * cq
-            q.append({e: -c for e, c in acc.items() if c})
+        b = sorted((sum(e), pack(e), c * a0 ** (sum(e) - 1)) for e, c in a.items())
+        degs = [t[0] for t in b]
+        pushed = [defaultdict(int) for _ in range(self.order + 1)]  # -q by degree
+        pushed[0][0] = -1
+        out = {}
+        p = 1
+        for d in range(self.order + 1):
+            q = {k: -c for k, c in pushed[d].items() if c}
             p *= a0
-            out.update((e, Fraction(da * c, p)) for e, c in q[d].items())
+            out.update((unpack(k), Fraction(da * c, p)) for k, c in q.items())
+            above = pushed[d:]
+            cut = bisect_right(degs, self.order - d)
+            for kq, cq in q.items():
+                for u, kb, cb in b[:cut]:
+                    above[u][kq + kb] += cb * cq
         return self._wrap(out)
+
+    def sqrt_unit(self) -> "MSeries":
+        """Square root with constant term 1, by Newton iteration.
+
+        Starts from the constant series 1 and doubles the trusted order
+        each step via s <- (s + a/s) / 2.
+        """
+        if self.terms.get((0,) * len(self.vars)) != 1:
+            raise ValueError("sqrt requires constant term 1")
+        s = MSeries.one(self.vars, 0)
+        m = 0
+        while m < self.order:
+            m = min(2 * m + 1, self.order)
+            s_ext = MSeries(self.vars, m, s.terms)
+            s = (s_ext + self.truncate(m) * s_ext.invert_unit()).scale(Fraction(1, 2))
+        return s
+
+    def shift_down(self, k: int) -> "MSeries":
+        """Divide a one-variable series by var**k; the k lowest coefficients
+        must vanish."""
+        if len(self.vars) != 1:
+            raise ValueError("shift_down needs a one-variable series")
+        if k < 0:
+            raise ValueError("negative shift")
+        if any(e < k for (e,) in self.terms):
+            raise InexactDivisionError(
+                f"nonzero coefficient below {self.vars[0]}^{k}; cannot shift down"
+            )
+        return MSeries(
+            self.vars, self.order - k, {(e - k,): c for (e,), c in self.terms.items()}
+        )
 
     def substitute(self, var: str, value: Union[int, str]) -> "MSeries":
         """Set a variable to 1, or rename it onto another variable.
@@ -435,14 +306,13 @@ class MSeries:
                 del out[key]
         return self._wrap(out)
 
-    def diagonal(self, out_var: str = "z") -> USeries:
-        """For a bivariate series, the univariate series of equal-exponent
+    def diagonal(self, out_var: str = "z") -> "MSeries":
+        """For a bivariate series, the one-variable series of equal-exponent
         coefficients; reliable through half the truncation order."""
         if len(self.vars) != 2:
             raise ValueError("diagonal extraction needs a bivariate series")
-        half = self.order // 2
-        return USeries(
-            out_var, half, [self.terms.get((n, n), F0) for n in range(half + 1)]
+        return MSeries(
+            (out_var,), self.order // 2, {(i,): c for (i, j), c in self.terms.items() if i == j}
         )
 
     def __repr__(self) -> str:
@@ -498,56 +368,55 @@ def a007317(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _radical_u(var: str, order: int) -> USeries:
-    """sqrt(5 t^2 - 6 t + 1) as a univariate series."""
-    return USeries.poly(var, order, {0: 1, 1: -6, 2: 5}).sqrt_unit()
+def _poly1(var: str, order: int, terms: Mapping[int, int]) -> MSeries:
+    """A polynomial in the one variable var, given as {power: coefficient}."""
+    return MSeries((var,), order, {(k,): c for k, c in terms.items()})
 
 
-def _lift(u: USeries, variables: Sequence[str], var: str) -> MSeries:
-    """The univariate series u, in variable var of a multivariate ring of
+def _radical_u(var: str, order: int) -> MSeries:
+    """sqrt(5 t^2 - 6 t + 1) as a one-variable series."""
+    return _poly1(var, order, {0: 1, 1: -6, 2: 5}).sqrt_unit()
+
+
+def _lift(u: MSeries, variables: Sequence[str], var: str) -> MSeries:
+    """The one-variable series u, in variable var of a multivariate ring of
     the same truncation order."""
     vs = tuple(variables)
     i = vs.index(var)
-    terms = {}
-    for k, c in enumerate(u.coeffs):
-        e = [0] * len(vs)
-        e[i] = k
-        terms[tuple(e)] = c
-    return MSeries(vs, u.order, terms)
+    pad = (0,) * (len(vs) - i - 1)
+    return MSeries(vs, u.order, {(0,) * i + e + pad: c for e, c in u.terms.items()})
 
 
-def _total_formula(var: str, order: int) -> USeries:
+def _total_formula(var: str, order: int) -> MSeries:
     """(-1 + t + sqrt(5 t^2 - 6 t + 1)) / (2 (t - 1))."""
     rad = _radical_u(var, order)
-    num = USeries.poly(var, order, {0: -1, 1: 1}) + rad
-    den = USeries.poly(var, order, {0: -2, 1: 2})
+    num = _poly1(var, order, {0: -1, 1: 1}) + rad
+    den = _poly1(var, order, {0: -2, 1: 2})
     return num * den.invert_unit()
 
 
-def _build_c2(order: int) -> USeries:
+def _build_c2(order: int) -> MSeries:
     rad = _radical_u("y", order)
-    num = (USeries.poly("y", order, {0: -1, 1: 1}) + rad) * USeries.poly(
-        "y", order, {1: -1}
-    )
-    den = USeries.poly("y", order, {0: 2, 1: -4, 2: 2})
+    num = (_poly1("y", order, {0: -1, 1: 1}) + rad) * _poly1("y", order, {1: -1})
+    den = _poly1("y", order, {0: 2, 1: -4, 2: 2})
     return num * den.invert_unit()
 
 
-def _build_f(order: int) -> USeries:
+def _build_f(order: int) -> MSeries:
     rad = _radical_u("z", order + 1)
-    num = USeries.poly("z", order + 1, {0: 1, 1: -1}) - rad
+    num = _poly1("z", order + 1, {0: 1, 1: -1}) - rad
     return num.shift_down(1).scale(Fraction(1, 2))
 
 
-def _build_g(order: int) -> USeries:
+def _build_g(order: int) -> MSeries:
     # the last factor of den is -2 z^2 + O(z^3), so den has valuation 2:
     # build two orders deeper and cancel z^2 from num and den
     n = order + 2
     rad = _radical_u("z", n)
-    one_minus = USeries.poly("z", n, {0: 1, 1: -1}) + rad
-    other = USeries.poly("z", n, {0: -1, 1: 3}) + rad
+    one_minus = _poly1("z", n, {0: 1, 1: -1}) + rad
+    other = _poly1("z", n, {0: -1, 1: 3}) + rad
     den = one_minus * one_minus * one_minus * other
-    num = USeries.poly("z", n, {2: -16, 3: 16})
+    num = _poly1("z", n, {2: -16, 3: 16})
     return num.shift_down(2) * den.shift_down(2).invert_unit()
 
 
@@ -641,9 +510,8 @@ GF_NAMES = tuple(_BUILDERS)
 def build_closed_form(which: str, order: int):
     """Expand one of the named closed forms to the given truncation order.
 
-    Univariate names (C2, C_total_pair, total_0021, f, g) return USeries;
-    the rest return MSeries (C_pair, D_pair in x, y; C_0021, D_0021 in
-    x, y, z).
+    C2 and C_total_pair are series in y; total_0021, f and g in z; C_pair
+    and D_pair in x, y; C_0021 and D_0021 in x, y, z.
     """
     try:
         builder = _BUILDERS[which]

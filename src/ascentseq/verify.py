@@ -21,7 +21,7 @@ from typing import Callable
 from . import gentree_0021 as g0021
 from . import gentree_pair as gpair
 from .core import count_avoiders, visit_avoiders
-from .series import USeries, a007317, build_closed_form, residual
+from .series import MSeries, a007317, build_closed_form, residual
 
 __all__ = [
     "CheckRecord",
@@ -395,20 +395,20 @@ def crosscheck_pair(
 
     diag = C.diagonal()
     bad = [
-        (n, diag.coeff(n)) for n in range(1, depth + 1) if diag.coeff(n) != 1
+        (n, diag.coeff((n,))) for n in range(1, depth + 1) if diag.coeff((n,)) != 1
     ]
-    if diag.coeff(0) != 0:
-        bad.insert(0, (0, diag.coeff(0)))
+    if diag.coeff((0,)) != 0:
+        bad.insert(0, (0, diag.coeff((0,))))
     _add(records, "pair.gf.diagonal_ones", f"n<={depth}", bad)
 
     total = build_closed_form(_PAIR.total_gf, total_max)
     bad = [
-        (n, total.coeff(n), a007317(n))
+        (n, total.coeff((n,)), a007317(n))
         for n in range(1, total_max + 1)
-        if total.coeff(n) != a007317(n)
+        if total.coeff((n,)) != a007317(n)
     ]
-    if total.coeff(0) != 0:
-        bad.insert(0, (0, total.coeff(0), 0))
+    if total.coeff((0,)) != 0:
+        bad.insert(0, (0, total.coeff((0,)), 0))
     _add(records, "pair.gf.total_vs_formula", f"n<={total_max}", bad)
 
     return VerificationReport("pair", records).finalize()
@@ -419,11 +419,10 @@ def crosscheck_pair(
 # ---------------------------------------------------------------------------
 
 
-def _column_series(levels: list[g0021.TripleLevelTables], r: int) -> USeries:
+def _column_series(levels: list[g0021.TripleLevelTables], r: int) -> MSeries:
     """Top-row entries g0(n, 1, r) across levels, as a series in z."""
-    depth = len(levels)
-    return USeries(
-        "z", depth, [0] + [levels[n - 1].value0(1, r) for n in range(1, depth + 1)]
+    return MSeries(
+        ("z",), len(levels), {(n,): t.value0(1, r) for n, t in enumerate(levels, 1)}
     )
 
 
@@ -459,7 +458,9 @@ def crosscheck_0021(
             bad.append((n,))
     _add(records, "t0021.counts.simulation_vs_recurrence", f"n<={n_max}", bad)
 
-    # the golden arrays may reach past every other record's levels
+    # the golden arrays may reach past every other record's levels, but no
+    # further than the tables given
+    golden_max = min(golden_max, max(golden_a0), max(golden_a1))
     golden = recur if golden_max <= len(recur) else _T0021.recurrence(golden_max)
     bad = []
     for n in range(2, golden_max + 1):
@@ -529,9 +530,9 @@ def crosscheck_0021(
     total = build_closed_form(_T0021.total_gf, total_max)
     pair_total = build_closed_form(_PAIR.total_gf, total_max)
     bad = [
-        (n, total.coeff(n), a007317(n))
+        (n, total.coeff((n,)), a007317(n))
         for n in range(1, total_max + 1)
-        if total.coeff(n) != a007317(n) or total.coeff(n) != pair_total.coeff(n)
+        if total.coeff((n,)) != a007317(n) or total.coeff((n,)) != pair_total.coeff((n,))
     ]
     _add(records, "t0021.gf.total_vs_formula", f"n<={total_max}", bad,
          "matches the pair-class closed form coefficientwise")
@@ -543,16 +544,17 @@ def crosscheck_0021(
     depth_cols = len(recur)
     f = build_closed_form("f", depth_cols)
     g = build_closed_form("g", depth_cols)
-    one = USeries.one("z", depth_cols)
+    zs = ("z",)
     first_expected = (
-        (f - one)
-        * USeries.poly("z", depth_cols, {0: 1, 1: -1}).invert_unit()
-    ).shift_up(2)
+        (f - MSeries.one(zs, depth_cols))
+        * MSeries.poly(zs, depth_cols, {(0,): 1, (1,): -1}).invert_unit()
+        * MSeries.poly(zs, depth_cols, {(2,): 1})
+    )
     t2 = _column_series(recur, 2)
     bad = [
-        (n, t2.coeff(n), first_expected.coeff(n))
+        (n, t2.coeff((n,)), first_expected.coeff((n,)))
         for n in range(depth_cols + 1)
-        if t2.coeff(n) != first_expected.coeff(n)
+        if t2.coeff((n,)) != first_expected.coeff((n,))
     ]
     _add(
         records,
@@ -569,10 +571,10 @@ def crosscheck_0021(
         prod = t_r * g
         # column r+1 starts one level later than column r, hence the z shift
         for n in range(1, depth_cols + 1):
-            if prod.coeff(n - 1) != t_next.coeff(n):
-                bad.append((r, n, prod.coeff(n - 1), t_next.coeff(n)))
-        if t_next.coeff(0) != 0:
-            bad.append((r, 0, 0, t_next.coeff(0)))
+            if prod.coeff((n - 1,)) != t_next.coeff((n,)):
+                bad.append((r, n, prod.coeff((n - 1,)), t_next.coeff((n,))))
+        if t_next.coeff((0,)) != 0:
+            bad.append((r, 0, 0, t_next.coeff((0,))))
     _add(
         records,
         "t0021.columns.ratio_is_g",

@@ -133,6 +133,20 @@ def test_coeffs_plain_and_json():
     assert out.splitlines()[0] == "x,y,coeff"
 
 
+# `coeffs --gf f --order 6` byte for byte: a one-variable series in each format
+F_ORDER_6 = {
+    "plain": "0 1\n1 1\n2 3\n3 10\n4 36\n5 137\n6 543\n",
+    "csv": "z,coeff\n0,1/1\n1,1/1\n2,3/1\n3,10/1\n4,36/1\n5,137/1\n6,543/1\n",
+    "json": '{"variables": ["z"], "order": 6, "terms": [[0, "1/1"], [1, "1/1"], '
+    '[2, "3/1"], [3, "10/1"], [4, "36/1"], [5, "137/1"], [6, "543/1"]]}\n',
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(F_ORDER_6))
+def test_coeffs_univariate_output_is_pinned(fmt):
+    assert run(["coeffs", "--gf", "f", "--order", "6", "--format", fmt]) == (0, F_ORDER_6[fmt])
+
+
 def test_coeffs_json_roundtrip():
     from ascentseq.series import build_closed_form
 

@@ -38,6 +38,13 @@ def test_crosscheck_0021_small_passes():
     assert "z g(z)" in ratio.detail  # the alignment is stated explicitly
 
 
+def test_crosscheck_0021_bounds_golden_max_by_the_tables():
+    # the golden tables stop at n = 8: a deeper request reports what they hold
+    report = verify.crosscheck_0021(n_max=4, gf_order=8, golden_max=9)
+    golden = next(r for r in report.records if r.check_id == "t0021.golden.level_arrays")
+    assert golden.passed and golden.scope == "n<=8"
+
+
 def test_wilf_check_small_passes():
     report = verify.wilf_equivalence_check(7)
     assert report.passed
