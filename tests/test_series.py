@@ -339,6 +339,45 @@ def test_mseries_invert_matches_schoolbook(single):
     assert all(inv.terms.values()) and all_fractions(inv.terms.values())
 
 
+def ref_umul(a, b):
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(len(a))]
+
+
+def ref_uinv(a):
+    out = [1 / a[0]]
+    for d in range(1, len(a)):
+        out.append(-sum((a[u] * out[d - u] for u in range(1, d + 1)), Fraction(0)) / a[0])
+    return out
+
+
+@st.composite
+def dense_zseries_pairs(draw):
+    """Two one-variable series with every coefficient up to the order drawn."""
+    order = draw(ORDERS)
+    cs = st.lists(COEFFS, min_size=order + 1, max_size=order + 1)
+    return tuple(zpoly(order, dict(enumerate(draw(cs)))) for _ in range(2))
+
+
+@given(dense_zseries_pairs())
+def test_useries_mul_matches_schoolbook(pair):
+    a, b = pair
+    prod = a * b
+    assert coeffs(prod) == ref_umul(coeffs(a), coeffs(b))
+    assert all_fractions(prod.terms.values())
+    odd_negated = {k: -c if k % 2 else c for k, c in enumerate(coeffs(a))}
+    cancel = a * zpoly(a.order, odd_negated)
+    assert not any(coeffs(cancel)[1::2])
+    assert all_fractions(cancel.terms.values())
+
+
+@given(dense_zseries_pairs(), UNITS)
+def test_useries_invert_matches_schoolbook(pair, c0):
+    a = pair[0] + zpoly(pair[0].order, {0: c0 - pair[0].coeff((0,))})
+    inv = a.invert_unit()
+    assert coeffs(inv) == ref_uinv(coeffs(a))
+    assert all_fractions(inv.terms.values())
+
+
 @given(series_tuples(1, UNITS))
 def test_invert_round_trip_randomized(single):
     (a,) = single
