@@ -156,6 +156,8 @@ def _cmd_coeffs(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     if args.n_max is not None and args.n_max < 1:
         parser.error("--n-max must be at least 1")
+    if args.suite == "wilf" and args.order is not None:
+        parser.error("--order does not apply to --suite wilf, which has no series check")
     # pass only the flags given, so the defaults live in verify.py alone
     depth = {} if args.n_max is None else {"n_max": args.n_max}
     order = {} if args.order is None else {"gf_order": args.order}
@@ -175,7 +177,7 @@ def _cmd_verify(args, parser) -> int:
     return 0 if report.passed else 1
 
 
-def _add_common(sub, *, patterns=False, n=False, fmt=True):
+def _add_common(sub, *, patterns=False, n=False):
     if patterns:
         sub.add_argument(
             "--patterns",
@@ -185,10 +187,7 @@ def _add_common(sub, *, patterns=False, n=False, fmt=True):
         )
     if n:
         sub.add_argument("--n", type=int, required=True, help="sequence length")
-    if fmt:
-        sub.add_argument(
-            "--format", choices=("plain", "json", "csv"), default="plain"
-        )
+    sub.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     sub.add_argument("--out", metavar="PATH", help="write output to PATH atomically")
 
 

@@ -306,13 +306,13 @@ class MSeries:
                 del out[key]
         return self._wrap(out)
 
-    def diagonal(self, out_var: str = "z") -> "MSeries":
-        """For a bivariate series, the one-variable series of equal-exponent
+    def diagonal(self) -> "MSeries":
+        """For a bivariate series, the series in z of equal-exponent
         coefficients; reliable through half the truncation order."""
         if len(self.vars) != 2:
             raise ValueError("diagonal extraction needs a bivariate series")
         return MSeries(
-            (out_var,), self.order // 2, {(i,): c for (i, j), c in self.terms.items() if i == j}
+            ("z",), self.order // 2, {(i,): c for (i, j), c in self.terms.items() if i == j}
         )
 
     def __repr__(self) -> str:

@@ -9,6 +9,22 @@ arrays, the structural identities between them, and the rule-vs-
 definition agreement of child labels for every small avoider.  Checks
 report their first counterexample instead of raising, and a suite passes
 only if every record passes.
+
+A tree suite takes the brute-force depth n_max, the series order gf_order
+and the label-oracle depth oracle_max; every other depth follows from them:
+
+- pentagon, 0021 simulation vs recurrence: n <= n_max;
+- pair golden arrays: n <= min(n_max, 7); 0021 golden arrays: n <= 8,
+  as far as the published tables reach;
+- recurrence vs formula, 0021 row shift and single increasing node:
+  n <= max(n_max, 20);
+- pair structural identities: 2 <= n <= max(n_max, 15);
+- gf coefficients, pair diagonal, 0021 level totals: n <= gf_order // 2;
+- 0021 columns: n <= max(n_max, 20, gf_order // 2);
+- residuals: order <= min(gf_order, 30) for the pair, min(gf_order, 25)
+  for 0021;
+- total vs formula: n <= 40;
+- rule vs definition: n <= oracle_max.
 """
 
 from __future__ import annotations
@@ -246,7 +262,7 @@ class _ClassSpec:
     children: Callable | None  # label -> Counter of child labels
     total_gf: str  # closed form whose t^n coefficient counts length n
     residuals: tuple[str, ...] = ()  # the C and D functional equations
-    residual_cap: int = 0  # default residual order: min(gf_order, cap)
+    residual_cap: int = 0  # residual order: min(gf_order, cap)
 
 
 _PAIR = _ClassSpec(
@@ -276,28 +292,29 @@ _C1012 = _ClassSpec("1012", ((1, 0, 1, 2),), None, None, None, None, "total_0021
 
 _CLASSES = {frozenset(c.patterns): c for c in (_PAIR, _T0021, _C1012)}
 
+_TOTAL_MAX = 40  # the total_vs_formula records read the closed forms alone
 
-def _tree_records(
-    spec: _ClassSpec, records, n_max, gf_order, recur_max, residual_order, oracle_max
-):
+
+def _tree_records(spec: _ClassSpec, records, n_max, gf_order, oracle_max):
     """The records a tree suite writes the same way for every class.
 
     Checks the depths and writes the pentagon (brute force, simulation,
     recurrence and formula agree on the counts), recurrence-vs-formula,
-    rule-vs-definition and residual records.  Returns the effective
-    recur_max with the simulated and the recurrence levels.
+    rule-vs-definition and residual records.  Returns the recurrence
+    depth recur_max with the simulated and the recurrence levels.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if oracle_max < 1:
+        raise ValueError("oracle_max must be at least 1")
     if gf_order < n_max:
         # the gf checks cover levels up to gf_order // 2, the counts n_max
         raise ValueError(f"gf_order {gf_order} must be at least n_max {n_max}")
-    recur_max = max(n_max, 20) if recur_max is None else recur_max
-    if residual_order is None:
-        residual_order = min(gf_order, spec.residual_cap)
+    recur_max = max(n_max, 20)
+    residual_order = min(gf_order, spec.residual_cap)
     sim = spec.simulate(n_max)
-    # as deep as the deepest record reading it: pentagon, recurrence, gf checks
-    recur = spec.recurrence(max(n_max, recur_max, gf_order // 2))
+    # as deep as the deepest record reading it: recurrence and gf checks
+    recur = spec.recurrence(max(recur_max, gf_order // 2))
 
     brute = count_avoiders(n_max, spec.patterns)
     bad = [
@@ -330,15 +347,7 @@ def _tree_records(
 
 
 def crosscheck_pair(
-    n_max: int = 12,
-    gf_order: int = 40,
-    *,
-    recur_max: int | None = None,
-    relations_max: int | None = None,
-    residual_order: int | None = None,
-    total_max: int = 40,
-    oracle_max: int = 8,
-    golden_tables: dict[int, list[list[int]]] | None = None,
+    n_max: int = 12, gf_order: int = 40, *, oracle_max: int = 8
 ) -> VerificationReport:
     """Full cross-validation of the {201, 210} pipelines.
 
@@ -348,17 +357,14 @@ def crosscheck_pair(
     replayed; the functional-equation residuals must vanish.
     """
     records: list[CheckRecord] = []
-    recur_max, sim, recur = _tree_records(
-        _PAIR, records, n_max, gf_order, recur_max, residual_order, oracle_max
-    )
-    relations_max = max(n_max, 15) if relations_max is None else relations_max
-    golden_tables = GOLDEN_PAIR_ARRAYS if golden_tables is None else golden_tables
+    _, _, recur = _tree_records(_PAIR, records, n_max, gf_order, oracle_max)
+    relations_max = max(n_max, 15)
 
-    golden_hi = min(n_max, max(golden_tables))
+    golden_hi = min(n_max, max(GOLDEN_PAIR_ARRAYS))
     bad = []
     for n in range(1, golden_hi + 1):
         dense = recur[n - 1].dense()
-        expected = golden_tables[n]
+        expected = GOLDEN_PAIR_ARRAYS[n]
         for p in range(n):
             for qi in range(n):
                 if dense[p][qi] != expected[p][qi]:
@@ -401,15 +407,15 @@ def crosscheck_pair(
         bad.insert(0, (0, diag.coeff((0,))))
     _add(records, "pair.gf.diagonal_ones", f"n<={depth}", bad)
 
-    total = build_closed_form(_PAIR.total_gf, total_max)
+    total = build_closed_form(_PAIR.total_gf, _TOTAL_MAX)
     bad = [
         (n, total.coeff((n,)), a007317(n))
-        for n in range(1, total_max + 1)
+        for n in range(1, _TOTAL_MAX + 1)
         if total.coeff((n,)) != a007317(n)
     ]
     if total.coeff((0,)) != 0:
         bad.insert(0, (0, total.coeff((0,)), 0))
-    _add(records, "pair.gf.total_vs_formula", f"n<={total_max}", bad)
+    _add(records, "pair.gf.total_vs_formula", f"n<={_TOTAL_MAX}", bad)
 
     return VerificationReport("pair", records).finalize()
 
@@ -427,16 +433,7 @@ def _column_series(levels: list[g0021.TripleLevelTables], r: int) -> MSeries:
 
 
 def crosscheck_0021(
-    n_max: int = 12,
-    gf_order: int = 40,
-    *,
-    recur_max: int | None = None,
-    residual_order: int | None = None,
-    total_max: int = 40,
-    golden_max: int = 8,
-    oracle_max: int = 8,
-    golden_a0: dict[int, list[list[int]]] | None = None,
-    golden_a1: dict[int, list[list[int]]] | None = None,
+    n_max: int = 12, gf_order: int = 40, *, oracle_max: int = 8
 ) -> VerificationReport:
     """Full cross-validation of the 0021 pipelines.
 
@@ -445,29 +442,22 @@ def crosscheck_0021(
     column-structure relations through f(z) and g(z).
     """
     records: list[CheckRecord] = []
-    recur_max, sim, recur = _tree_records(
-        _T0021, records, n_max, gf_order, recur_max, residual_order, oracle_max
-    )
-    golden_a0 = GOLDEN_A0_ARRAYS if golden_a0 is None else golden_a0
-    golden_a1 = GOLDEN_A1_ARRAYS if golden_a1 is None else golden_a1
+    recur_max, sim, recur = _tree_records(_T0021, records, n_max, gf_order, oracle_max)
 
     bad = []
-    for n in range(1, min(n_max, len(sim)) + 1):
+    for n in range(1, n_max + 1):
         s, r = sim[n - 1], recur[n - 1]
         if (s.g0, s.g1, s.g2_q) != (r.g0, r.g1, r.g2_q):
             bad.append((n,))
     _add(records, "t0021.counts.simulation_vs_recurrence", f"n<={n_max}", bad)
 
-    # the golden arrays may reach past every other record's levels, but no
-    # further than the tables given
-    golden_max = min(golden_max, max(golden_a0), max(golden_a1))
-    golden = recur if golden_max <= len(recur) else _T0021.recurrence(golden_max)
+    golden_max = max(GOLDEN_A0_ARRAYS)  # the g0 and g1 tables both stop here
     bad = []
     for n in range(2, golden_max + 1):
-        t = golden[n - 1]
+        t = recur[n - 1]
         for name, got, want in (
-            ("g0", g0021.dense_a0(t), golden_a0[n]),
-            ("g1", g0021.dense_a1(t), golden_a1[n]),
+            ("g0", g0021.dense_a0(t), GOLDEN_A0_ARRAYS[n]),
+            ("g1", g0021.dense_a1(t), GOLDEN_A1_ARRAYS[n]),
         ):
             for qi, row in enumerate(want):
                 for ri, val in enumerate(row):
@@ -503,11 +493,10 @@ def crosscheck_0021(
         t = recur[n - 1]
         for q in range(1, n + 1):
             for r in range(0, n - q + 1):
-                if q + r + n <= gf_order:
-                    if C.coeff((q, r, n)) != t.value0(q, r):
-                        bad.append(("g0", n, q, r))
-                    if D.coeff((q, r, n)) != t.value1(q, r):
-                        bad.append(("g1", n, q, r))
+                if C.coeff((q, r, n)) != t.value0(q, r):
+                    bad.append(("g0", n, q, r))
+                if D.coeff((q, r, n)) != t.value1(q, r):
+                    bad.append(("g1", n, q, r))
     for (q, r, n), val in sorted(C.terms.items()):
         if n <= depth and not (1 <= q and 2 <= r and q + r <= n):
             bad.append(("g0-support", n, q, r))
@@ -527,14 +516,14 @@ def crosscheck_0021(
     _add(records, "t0021.gf.level_totals", f"n<={depth}", bad,
          "g0 + g1 sums plus the single increasing node")
 
-    total = build_closed_form(_T0021.total_gf, total_max)
-    pair_total = build_closed_form(_PAIR.total_gf, total_max)
+    total = build_closed_form(_T0021.total_gf, _TOTAL_MAX)
+    pair_total = build_closed_form(_PAIR.total_gf, _TOTAL_MAX)
     bad = [
         (n, total.coeff((n,)), a007317(n))
-        for n in range(1, total_max + 1)
+        for n in range(1, _TOTAL_MAX + 1)
         if total.coeff((n,)) != a007317(n) or total.coeff((n,)) != pair_total.coeff((n,))
     ]
-    _add(records, "t0021.gf.total_vs_formula", f"n<={total_max}", bad,
+    _add(records, "t0021.gf.total_vs_formula", f"n<={_TOTAL_MAX}", bad,
          "matches the pair-class closed form coefficientwise")
 
     # Column structure of the g0 arrays.  Alignment: with T_r(z) defined as

@@ -171,7 +171,7 @@ def test_criterion_10_series_property_suite():
 
 
 def test_criterion_11_column_structure_report():
-    rep = verify.crosscheck_0021(n_max=4, gf_order=12, recur_max=20)
+    rep = verify.crosscheck_0021(n_max=4, gf_order=12)
     records = {r.check_id: r for r in rep.records}
     first = records["t0021.columns.first_vs_f"]
     ratio = records["t0021.columns.ratio_is_g"]

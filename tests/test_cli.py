@@ -175,6 +175,7 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(["verify", "--suite", "pair", "--order", "5"])[0] == 2
     assert run(["verify", "--suite", "0021", "--order", "5"])[0] == 2
     assert run(["verify", "--suite", "wilf", "--n-max", "0"])[0] == 2
+    assert run(["verify", "--suite", "wilf", "--n-max", "5", "--order", "3"])[0] == 2
     assert run(["coeffs", "--gf", "nope", "--order", "5"])[0] == 2
     count = ["count", "--patterns", "201,210", "--n", "3", "--out"]
     assert run(count + [str(tmp_path / "missing" / "x.txt")])[0] == 2

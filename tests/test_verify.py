@@ -30,19 +30,12 @@ def test_crosscheck_pair_small_passes():
 
 
 def test_crosscheck_0021_small_passes():
-    report = verify.crosscheck_0021(n_max=7, gf_order=20, recur_max=12)
+    report = verify.crosscheck_0021(n_max=7, gf_order=20)
     assert report.passed, report.to_text()
     ratio = next(
         r for r in report.records if r.check_id == "t0021.columns.ratio_is_g"
     )
     assert "z g(z)" in ratio.detail  # the alignment is stated explicitly
-
-
-def test_crosscheck_0021_bounds_golden_max_by_the_tables():
-    # the golden tables stop at n = 8: a deeper request reports what they hold
-    report = verify.crosscheck_0021(n_max=4, gf_order=8, golden_max=9)
-    golden = next(r for r in report.records if r.check_id == "t0021.golden.level_arrays")
-    assert golden.passed and golden.scope == "n<=8"
 
 
 def test_wilf_check_small_passes():
@@ -54,10 +47,11 @@ def test_wilf_check_small_passes():
     ]
 
 
-def test_mutated_pair_golden_is_reported():
+def test_mutated_pair_golden_is_reported(monkeypatch):
     golden = copy.deepcopy(verify.GOLDEN_PAIR_ARRAYS)
     golden[5][1][2] = golden[5][1][2] + 1  # entry (p=1, q=3)
-    report = verify.crosscheck_pair(n_max=6, gf_order=12, golden_tables=golden)
+    monkeypatch.setattr(verify, "GOLDEN_PAIR_ARRAYS", golden)
+    report = verify.crosscheck_pair(n_max=6, gf_order=12)
     assert not report.passed
     failing = [r for r in report.records if not r.passed]
     assert len(failing) == 1
@@ -65,12 +59,11 @@ def test_mutated_pair_golden_is_reported():
     assert "(5, 1, 3)" in failing[0].detail
 
 
-def test_mutated_0021_golden_is_reported():
+def test_mutated_0021_golden_is_reported(monkeypatch):
     golden = copy.deepcopy(verify.GOLDEN_A1_ARRAYS)
     golden[6][0][1] = golden[6][0][1] + 1  # g1 entry (q=1, r=2)
-    report = verify.crosscheck_0021(
-        n_max=6, gf_order=12, recur_max=8, golden_a1=golden
-    )
+    monkeypatch.setattr(verify, "GOLDEN_A1_ARRAYS", golden)
+    report = verify.crosscheck_0021(n_max=6, gf_order=12)
     assert not report.passed
     failing = [r for r in report.records if not r.passed]
     assert failing[0].check_id == "t0021.golden.level_arrays"
@@ -91,9 +84,7 @@ def test_wrong_pair_rule_fails_rule_vs_definition(monkeypatch):
         return children
 
     monkeypatch.setattr(gp, "pair_children", wrong)
-    report = verify.crosscheck_pair(
-        n_max=5, gf_order=10, relations_max=5, total_max=10, oracle_max=6
-    )
+    report = verify.crosscheck_pair(n_max=5, gf_order=10, oracle_max=6)
     rec = _record(report, "pair.labels.rule_vs_definition")
     assert not rec.passed
     # the shortest, then lexicographically first, failing avoider
@@ -114,9 +105,7 @@ def test_wrong_0021_rule_fails_rule_vs_definition(monkeypatch):
         return +children
 
     monkeypatch.setattr(gt, "triple_children", wrong)
-    report = verify.crosscheck_0021(
-        n_max=5, gf_order=10, recur_max=8, total_max=10, oracle_max=6
-    )
+    report = verify.crosscheck_0021(n_max=5, gf_order=10, oracle_max=6)
     rec = _record(report, "t0021.labels.rule_vs_definition")
     assert not rec.passed
     assert rec.detail == (
@@ -126,8 +115,8 @@ def test_wrong_0021_rule_fails_rule_vs_definition(monkeypatch):
 
 
 def test_reports_are_deterministic_and_sorted():
-    a = verify.crosscheck_pair(n_max=5, gf_order=10, relations_max=5, total_max=10)
-    b = verify.crosscheck_pair(n_max=5, gf_order=10, relations_max=5, total_max=10)
+    a = verify.crosscheck_pair(n_max=5, gf_order=10)
+    b = verify.crosscheck_pair(n_max=5, gf_order=10)
     assert a.to_json() == b.to_json()
     ids = [r.check_id for r in a.records]
     assert ids == sorted(ids)
@@ -148,18 +137,6 @@ def test_combine_reports():
     )
     assert merged.suite == "all"
     assert len(merged.records) == 4
-
-
-def test_shallow_recur_max_still_reports():
-    # the pentagon reads n_max levels and the 0021 golden arrays golden_max
-    # levels, both deeper than recur_max here
-    pair = verify.crosscheck_pair(n_max=10, gf_order=10, recur_max=2)
-    t0021 = verify.crosscheck_0021(n_max=4, gf_order=8, recur_max=5)
-    assert pair.passed and t0021.passed
-    assert _record(pair, "pair.counts.pentagon").scope == "n<=10"
-    assert _record(pair, "pair.counts.recurrence_vs_formula").scope == "n<=2"
-    assert _record(t0021, "t0021.golden.level_arrays").scope == "n<=8"
-    assert _record(t0021, "t0021.counts.recurrence_vs_formula").scope == "n<=5"
 
 
 def test_verify_all_walks_0021_once(monkeypatch):
@@ -190,5 +167,64 @@ def test_invalid_ranges_rejected():
         verify.crosscheck_pair(gf_order=5)
     with pytest.raises(ValueError, match="gf_order 5 must be at least n_max 6"):
         verify.crosscheck_0021(n_max=6, gf_order=5)
+    # an oracle depth below 1 would check no avoider and still pass
+    for depth in (0, -3):
+        with pytest.raises(ValueError, match="oracle_max must be at least 1"):
+            verify.crosscheck_pair(n_max=5, gf_order=10, oracle_max=depth)
+        with pytest.raises(ValueError, match="oracle_max must be at least 1"):
+            verify.crosscheck_0021(n_max=5, gf_order=10, oracle_max=depth)
     with pytest.raises(ValueError):
         verify.wilf_equivalence_check(0)
+
+
+# check id, scope at gf_order 12, scope at gf_order 44 (n_max 5 for both),
+# detail: every depth a suite derives from n_max and gf_order, written out
+_PINNED = [
+    ("pair.counts.pentagon", "n<=5", "n<=5", "counts [1, 2, 5, 15, 51]..."),
+    ("pair.counts.recurrence_vs_formula", "n<=20", "n<=20", ""),
+    ("pair.gf.coefficients", "n<=6", "n<=22", ""),
+    ("pair.gf.diagonal_ones", "n<=6", "n<=22", ""),
+    ("pair.gf.residual_c", "order<=12", "order<=30", "identically zero"),
+    ("pair.gf.residual_d", "order<=12", "order<=30", "identically zero"),
+    ("pair.gf.total_vs_formula", "n<=40", "n<=40", ""),
+    ("pair.golden.level_arrays", "n<=5", "n<=5", ""),
+    ("pair.labels.rule_vs_definition", "n<=8", "n<=8", ""),
+    ("pair.relations.seven_identities", "2<=n<=15", "2<=n<=15",
+     "all seven identities hold"),
+    ("t0021.columns.first_vs_f", "n<=20", "n<=22",
+     "alignment: sum_n g0(n,1,2) z^n = z^2 (f(z)-1)/(1-z)"),
+    ("t0021.columns.ratio_is_g", "2<=r<18, n<=20", "2<=r<20, n<=22",
+     "alignment: sum_n g0(n,1,r+1) z^n = z g(z) sum_n g0(n,1,r) z^n"),
+    ("t0021.counts.pentagon", "n<=5", "n<=5", "counts [1, 2, 5, 15, 51]..."),
+    ("t0021.counts.recurrence_vs_formula", "n<=20", "n<=20", ""),
+    ("t0021.counts.simulation_vs_recurrence", "n<=5", "n<=5", ""),
+    ("t0021.gf.coefficients", "n<=6", "n<=22", ""),
+    ("t0021.gf.level_totals", "n<=6", "n<=22",
+     "g0 + g1 sums plus the single increasing node"),
+    ("t0021.gf.residual_c", "order<=12", "order<=25", "identically zero"),
+    ("t0021.gf.residual_d", "order<=12", "order<=25", "identically zero"),
+    ("t0021.gf.total_vs_formula", "n<=40", "n<=40",
+     "matches the pair-class closed form coefficientwise"),
+    ("t0021.golden.level_arrays", "n<=8", "n<=8", ""),
+    ("t0021.labels.rule_vs_definition", "n<=8", "n<=8", ""),
+    ("t0021.relations.row_shift", "n<=20", "n<=20",
+     "each level array is the previous one pushed down one row"),
+    ("t0021.relations.single_increasing_node", "n<=20", "n<=20", ""),
+]
+
+
+def test_derived_depths_are_pinned():
+    # gf_order 44 takes the gf records past the recurrence depth 20
+    for column, gf_order in ((1, 12), (2, 44)):
+        for suite, prefix, crosscheck in (
+            ("pair", "pair.", verify.crosscheck_pair),
+            ("0021", "t0021.", verify.crosscheck_0021),
+        ):
+            records = [
+                {"id": row[0], "scope": row[column], "status": "pass", "detail": row[3]}
+                for row in _PINNED
+                if row[0].startswith(prefix)
+            ]
+            want = {"suite": suite, "passed": True, "records": records}
+            got = crosscheck(n_max=5, gf_order=gf_order).to_json()
+            assert got == json.dumps(want, indent=2), (suite, gf_order)
