@@ -113,12 +113,12 @@ def _cmd_enumerate(args, parser) -> int:
 def _cmd_table(args, parser) -> int:
     n = args.n
     if args.family == "pair":
-        table = gpair.pair_recurrence_table(n)
+        table = gpair.pair_recurrence_levels(n)[-1]
         dense = table.dense()
         rows = [f"{a},{b},{c},{d}" for a, b, c, d in gpair.csv_rows(table)]
         csv_text = "\n".join(["n,p,q,g"] + rows)
     else:
-        tables = g0021.triple_recurrence_tables(n)
+        tables = g0021.triple_recurrence_levels(n)[-1]
         dense = g0021.dense_a0(tables) if args.family == "a0" else g0021.dense_a1(tables)
         cls = "g0" if args.family == "a0" else "g1"
         rows = [

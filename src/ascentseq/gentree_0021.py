@@ -34,7 +34,6 @@ __all__ = [
     "triple_children",
     "simulate_0021_levels",
     "triple_recurrence_levels",
-    "triple_recurrence_tables",
     "dense_a0",
     "dense_a1",
     "csv_rows",
@@ -223,13 +222,6 @@ def triple_recurrence_levels(n_max: int) -> list[TripleLevelTables]:
                             g0[(q, r)] = val
         out.append(TripleLevelTables(n, g0, g1, n + 1))
     return out
-
-
-def triple_recurrence_tables(n: int) -> TripleLevelTables:
-    """Level-n classified label counts from the recurrences."""
-    if n < 1:
-        raise ValueError("level must be at least 1")
-    return triple_recurrence_levels(n)[-1]
 
 
 def dense_a0(tables: TripleLevelTables) -> list[list[int]]:

@@ -9,8 +9,10 @@ all its one-step extensions, so the whole class is generated by the rule
 
 rooted at (0, 1).  This module simulates the tree level by level, computes
 the same level tables bottom-up from the label-count recurrence, derives
-the column sums c and diagonal entries d of each level array, and checks
-the seven cross-level identities that those arrays satisfy.  The simulator
+the column sums c and diagonal entries d of a level array, and checks the
+seven cross-level identities on a list of level tables it is given.  Both
+pipelines return the list of levels 1..n; a caller wanting one level reads
+its last entry.  The simulator
 and the recurrence share nothing but the label type: the simulator expands
 the rule literally, child by child, and the recurrence runs on running
 sums, at O(n^2) per level.
@@ -27,16 +29,12 @@ __all__ = [
     "PairLevelTable",
     "CDTable",
     "RelationViolation",
-    "RelationReport",
-    "RELATION_NAMES",
     "pair_label_from_appendable",
     "pair_children",
     "simulate_pair_levels",
     "pair_recurrence_levels",
-    "pair_recurrence_table",
     "cd_tables_from",
     "check_structure_relations",
-    "dense_array",
     "csv_rows",
 ]
 
@@ -151,13 +149,6 @@ def pair_recurrence_levels(n_max: int) -> list[PairLevelTable]:
     return levels
 
 
-def pair_recurrence_table(n: int) -> PairLevelTable:
-    """Level-n label counts from the recurrence."""
-    if n < 1:
-        raise ValueError("level must be at least 1")
-    return pair_recurrence_levels(n)[-1]
-
-
 def cd_tables_from(table: PairLevelTable) -> CDTable:
     """Column sums c_{n,i} and diagonals d_{n,i} = g(i-1, i) of a level."""
     n = table.n
@@ -175,50 +166,30 @@ class RelationViolation:
     rhs: int
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    n_max: int
-    violations: tuple[RelationViolation, ...]
+def check_structure_relations(levels: list[PairLevelTable]) -> list[RelationViolation]:
+    """Check the seven cross-level identities on levels 1..len(levels).
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
+    With c and d the column sums and diagonals of cd_tables_from:
 
+    - diagonal_step: d_{n,i} = d_{n-1,i} + c_{n-1,i-1} for 2 <= i <= n;
+    - last_column_zero: g(i, n) = 0 at level n unless i = n-1;
+    - corner_ones: g(0,1) = d_1 = c_1 = d_n = c_n = 1;
+    - interior_shift: g(p, q) = g(p+2, q+1) for 3 <= p+2 < q+1 <= n;
+    - first_row_step: g(0, q) = g(0,q+1) + g(1,q+1) + g(2,q+1), 2 <= q <= n-1;
+    - partial_sum_shift: sum_{i<=k} g(i,q) = sum_{i<=k+2} g(i,q+1), k <= q-2;
+    - column_difference: c_{n,i} = c_{n,i-1} - d_{n,i-1} for 3 <= i <= n.
 
-#: The seven identities the level arrays satisfy, keyed by short name.
-RELATION_NAMES = (
-    "diagonal_step",      # d_{n,i} = d_{n-1,i} + c_{n-1,i-1} for 2 <= i <= n
-    "last_column_zero",   # g(i, n) = 0 at level n unless i = n-1
-    "corner_ones",        # g(0,1) = d_1 = c_1 = d_n = c_n = 1
-    "interior_shift",     # g(p, q) = g(p+2, q+1) for 3 <= p+2 < q+1 <= n
-    "first_row_step",     # g(0, q) = g(0,q+1) + g(1,q+1) + g(2,q+1), 2 <= q <= n-1
-    "partial_sum_shift",  # sum_{i<=k} g(i,q) = sum_{i<=k+2} g(i,q+1) for k <= q-2
-    "column_difference",  # c_{n,i} = c_{n,i-1} - d_{n,i-1} for 3 <= i <= n
-)
-
-
-def check_structure_relations(
-    n_max: int, levels: list[PairLevelTable] | None = None
-) -> RelationReport:
-    """Check the seven cross-level identities for all levels up to n_max.
-
-    Violations are collected rather than raised so a regression reports
-    every failing instance.  A precomputed list of level tables may be
-    supplied (useful for checking deliberately corrupted data).
+    Every violation is returned rather than raised, so a regression reports
+    every failing instance.
     """
-    if n_max < 2:
-        raise ValueError("need n_max >= 2 to compare adjacent levels")
-    if levels is None:
-        levels = pair_recurrence_levels(n_max)
-    cds = [cd_tables_from(levels[n - 1]) for n in range(1, n_max + 1)]
+    cds = [cd_tables_from(t) for t in levels]
     bad: list[RelationViolation] = []
 
     def check(rel: str, n: int, where: tuple[int, ...], lhs: int, rhs: int) -> None:
         if lhs != rhs:
             bad.append(RelationViolation(rel, n, where, lhs, rhs))
 
-    for n in range(1, n_max + 1):
-        tab = levels[n - 1]
+    for n, tab in enumerate(levels, 1):
         c, d = cds[n - 1].c, cds[n - 1].d
         check("corner_ones", n, (0, 1), tab.value(0, 1), 1)
         check("corner_ones", n, (1,), d[0], 1)
@@ -255,12 +226,7 @@ def check_structure_relations(
         for i in range(3, n + 1):
             check("column_difference", n, (i,), c[i - 1], c[i - 2] - d[i - 2])
 
-    return RelationReport(n_max, tuple(bad))
-
-
-def dense_array(n: int) -> list[list[int]]:
-    """Level-n counts as a dense n x n array (row p, column q-1)."""
-    return pair_recurrence_table(n).dense()
+    return bad
 
 
 def csv_rows(table: PairLevelTable) -> list[tuple[int, int, int, int]]:

@@ -292,19 +292,15 @@ class MSeries:
             j = self.vars.index(value)
         else:
             raise ValueError("substitution value must be 1 or another variable name")
-        out: dict[Exp, Fraction] = {}
-        for e, c in self.terms.items():
+        nums, den = _over_common(self.terms.values())
+        acc: defaultdict[Exp, int] = defaultdict(int)
+        for e, c in zip(self.terms, nums):
             le = list(e)
             if j is not None:
                 le[j] += le[i]
             le[i] = 0
-            key = tuple(le)
-            nv = out.get(key, F0) + c
-            if nv:
-                out[key] = nv
-            else:
-                del out[key]
-        return self._wrap(out)
+            acc[tuple(le)] += c
+        return self._wrap({e: Fraction(c, den) for e, c in acc.items() if c})
 
     def diagonal(self) -> "MSeries":
         """For a bivariate series, the series in z of equal-exponent

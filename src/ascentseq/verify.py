@@ -8,10 +8,13 @@ the common target.  Each crosscheck also replays the published level
 arrays, the structural identities between them, and the rule-vs-
 definition agreement of child labels for every small avoider.  Checks
 report their first counterexample instead of raising, and a suite passes
-only if every record passes.
+only if every record passes.  The tree modules hand out level lists only;
+the records shared by both trees, the gf coefficients among them, are
+written once from the class table.
 
-A tree suite takes the brute-force depth n_max, the series order gf_order
-and the label-oracle depth oracle_max; every other depth follows from them:
+A tree suite takes the brute-force depth n_max >= 1, the series order
+gf_order >= max(n_max, 2) and the label-oracle depth oracle_max >= 1;
+every other depth follows from them:
 
 - pentagon, 0021 simulation vs recurrence: n <= n_max;
 - pair golden arrays: n <= min(n_max, 7); 0021 golden arrays: n <= 8,
@@ -263,6 +266,13 @@ class _ClassSpec:
     total_gf: str  # closed form whose t^n coefficient counts length n
     residuals: tuple[str, ...] = ()  # the C and D functional equations
     residual_cap: int = 0  # residual order: min(gf_order, cap)
+    cd_gf: tuple[str, ...] = ()  # the C and D closed forms of the tree
+    cells: Callable | None = None  # level -> its C and D cells by exponent
+
+
+def _pair_cells(cd: gpair.CDTable) -> tuple[dict, dict]:
+    """Column sums c and diagonals d of a pair level, keyed (i, n)."""
+    return tuple({(i, cd.n): v for i, v in enumerate(col, 1)} for col in (cd.c, cd.d))
 
 
 _PAIR = _ClassSpec(
@@ -275,6 +285,8 @@ _PAIR = _ClassSpec(
     total_gf="C_total_pair",
     residuals=("pair_c", "pair_d"),
     residual_cap=30,
+    cd_gf=("C_pair", "D_pair"),
+    cells=lambda t: _pair_cells(gpair.cd_tables_from(t)),
 )
 _T0021 = _ClassSpec(
     "t0021",
@@ -286,6 +298,9 @@ _T0021 = _ClassSpec(
     total_gf="total_0021",
     residuals=("t0021_c", "t0021_d"),
     residual_cap=25,
+    cd_gf=("C_0021", "D_0021"),
+    # g0 and g1 of the level, keyed (q, r, n)
+    cells=lambda t: tuple({(*k, t.n): v for k, v in g.items()} for g in (t.g0, t.g1)),
 )
 # no generating tree is known for 1012; the class shares the 0021 total
 _C1012 = _ClassSpec("1012", ((1, 0, 1, 2),), None, None, None, None, "total_0021")
@@ -300,8 +315,12 @@ def _tree_records(spec: _ClassSpec, records, n_max, gf_order, oracle_max):
 
     Checks the depths and writes the pentagon (brute force, simulation,
     recurrence and formula agree on the counts), recurrence-vs-formula,
-    rule-vs-definition and residual records.  Returns the recurrence
-    depth recur_max with the simulated and the recurrence levels.
+    rule-vs-definition, residual and gf-coefficient records.  The last
+    compares every term of the C and D closed forms up to level
+    gf_order // 2 with the cells spec.cells reads off that level of
+    the recurrence, so a wrong value, a term off the support and a term at
+    level 0 all fail it.  Returns the recurrence depth recur_max, the
+    simulated and the recurrence levels, and the C and D closed forms.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -310,6 +329,9 @@ def _tree_records(spec: _ClassSpec, records, n_max, gf_order, oracle_max):
     if gf_order < n_max:
         # the gf checks cover levels up to gf_order // 2, the counts n_max
         raise ValueError(f"gf_order {gf_order} must be at least n_max {n_max}")
+    if gf_order < 2:
+        # below 2 the gf records would check no level and still pass
+        raise ValueError(f"gf_order {gf_order} must be at least 2")
     recur_max = max(n_max, 20)
     residual_order = min(gf_order, spec.residual_cap)
     sim = spec.simulate(n_max)
@@ -338,7 +360,24 @@ def _tree_records(spec: _ClassSpec, records, n_max, gf_order, oracle_max):
         bad = [] if res.is_zero() else [sorted(res.terms.items())[0]]
         _add(records, f"{spec.name}.gf.residual_{side}", f"order<={residual_order}",
              bad, "identically zero")
-    return recur_max, sim, recur
+
+    depth = gf_order // 2
+    C, D = (build_closed_form(name, gf_order) for name in spec.cd_gf)
+    want: tuple[dict, dict] = ({}, {})  # no cell at level 0
+    for t in recur[:depth]:
+        for side, cells in zip(want, spec.cells(t)):
+            side.update(cells)
+    bad = sorted(
+        (
+            (side, e, gf.terms.get(e, 0), cells.get(e, 0))
+            for side, gf, cells in zip("CD", (C, D), want)
+            for e in cells.keys() | {e for e in gf.terms if e[-1] <= depth}
+            if gf.terms.get(e, 0) != cells.get(e, 0)
+        ),
+        key=lambda b: (b[1][-1], b[0], b[1]),  # level, then side, then exponent
+    )
+    _add(records, f"{spec.name}.gf.coefficients", f"n<={depth}", bad)
+    return recur_max, sim, recur, C, D
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +396,7 @@ def crosscheck_pair(
     replayed; the functional-equation residuals must vanish.
     """
     records: list[CheckRecord] = []
-    _, _, recur = _tree_records(_PAIR, records, n_max, gf_order, oracle_max)
+    _, _, recur, C, _ = _tree_records(_PAIR, records, n_max, gf_order, oracle_max)
     relations_max = max(n_max, 15)
 
     golden_hi = min(n_max, max(GOLDEN_PAIR_ARRAYS))
@@ -371,34 +410,11 @@ def crosscheck_pair(
                     bad.append((n, p, qi + 1))
     _add(records, "pair.golden.level_arrays", f"n<={golden_hi}", bad)
 
-    rel = gpair.check_structure_relations(relations_max)
-    _add(
-        records,
-        "pair.relations.seven_identities",
-        f"2<=n<={relations_max}",
-        list(rel.violations),
-        "all seven identities hold",
-    )
+    bad = gpair.check_structure_relations(recur[:relations_max])
+    _add(records, "pair.relations.seven_identities", f"2<=n<={relations_max}", bad,
+         "all seven identities hold")
 
-    C = build_closed_form("C_pair", gf_order)
-    D = build_closed_form("D_pair", gf_order)
     depth = gf_order // 2
-    bad = []
-    for n in range(1, depth + 1):
-        cd = gpair.cd_tables_from(recur[n - 1])
-        for i in range(1, n + 1):
-            if C.coeff((i, n)) != cd.c[i - 1]:
-                bad.append(("c", n, i, C.coeff((i, n)), cd.c[i - 1]))
-            if D.coeff((i, n)) != cd.d[i - 1]:
-                bad.append(("d", n, i, D.coeff((i, n)), cd.d[i - 1]))
-    for (i, n), val in sorted(C.terms.items()):
-        if n <= depth and (i < 1 or i > n):
-            bad.append(("c-support", n, i, val, 0))
-    for (i, n), val in sorted(D.terms.items()):
-        if n <= depth and (i < 1 or i > n):
-            bad.append(("d-support", n, i, val, 0))
-    _add(records, "pair.gf.coefficients", f"n<={depth}", bad)
-
     diag = C.diagonal()
     bad = [
         (n, diag.coeff((n,))) for n in range(1, depth + 1) if diag.coeff((n,)) != 1
@@ -442,7 +458,9 @@ def crosscheck_0021(
     column-structure relations through f(z) and g(z).
     """
     records: list[CheckRecord] = []
-    recur_max, sim, recur = _tree_records(_T0021, records, n_max, gf_order, oracle_max)
+    recur_max, sim, recur, C, D = _tree_records(
+        _T0021, records, n_max, gf_order, oracle_max
+    )
 
     bad = []
     for n in range(1, n_max + 1):
@@ -485,26 +503,7 @@ def crosscheck_0021(
     ]
     _add(records, "t0021.relations.single_increasing_node", f"n<={recur_max}", bad)
 
-    C = build_closed_form("C_0021", gf_order)
-    D = build_closed_form("D_0021", gf_order)
     depth = gf_order // 2
-    bad = []
-    for n in range(1, depth + 1):
-        t = recur[n - 1]
-        for q in range(1, n + 1):
-            for r in range(0, n - q + 1):
-                if C.coeff((q, r, n)) != t.value0(q, r):
-                    bad.append(("g0", n, q, r))
-                if D.coeff((q, r, n)) != t.value1(q, r):
-                    bad.append(("g1", n, q, r))
-    for (q, r, n), val in sorted(C.terms.items()):
-        if n <= depth and not (1 <= q and 2 <= r and q + r <= n):
-            bad.append(("g0-support", n, q, r))
-    for (q, r, n), val in sorted(D.terms.items()):
-        if n <= depth and not (1 <= q and 1 <= r and q + r <= n):
-            bad.append(("g1-support", n, q, r))
-    _add(records, "t0021.gf.coefficients", f"n<={depth}", bad)
-
     c_tot = C.substitute("x", 1).substitute("y", 1)
     d_tot = D.substitute("x", 1).substitute("y", 1)
     bad = []

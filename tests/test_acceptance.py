@@ -44,17 +44,18 @@ def test_criterion_01_pair_counting_pentagon():
 
 
 def test_criterion_02_pair_level_array_goldens():
+    levels = gp.pair_recurrence_levels(7)
     ok = all(
-        gp.dense_array(n) == verify.GOLDEN_PAIR_ARRAYS[n] for n in range(1, 8)
+        levels[n - 1].dense() == verify.GOLDEN_PAIR_ARRAYS[n] for n in range(1, 8)
     )
-    t7 = gp.pair_recurrence_table(7)
+    t7 = levels[-1]
     ok = ok and t7.value(0, 2) == 256 and t7.value(2, 3) == 109
     report(2, "pair level arrays reproduce the published data for n <= 7", ok)
 
 
 def test_criterion_03_seven_identities():
-    rep = gp.check_structure_relations(15)
-    report(3, "all seven structural identities hold for 2 <= n <= 15", rep.passed)
+    violations = gp.check_structure_relations(gp.pair_recurrence_levels(15))
+    report(3, "all seven structural identities hold for 2 <= n <= 15", violations == [])
 
 
 def test_criterion_04_diagonal_ones():

@@ -174,6 +174,7 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(["verify", "--suite", "pair", "--n-max", "10", "--order", "5"])[0] == 2
     assert run(["verify", "--suite", "pair", "--order", "5"])[0] == 2
     assert run(["verify", "--suite", "0021", "--order", "5"])[0] == 2
+    assert run(["verify", "--suite", "all", "--n-max", "1", "--order", "1"])[0] == 2
     assert run(["verify", "--suite", "wilf", "--n-max", "0"])[0] == 2
     assert run(["verify", "--suite", "wilf", "--n-max", "5", "--order", "3"])[0] == 2
     assert run(["coeffs", "--gf", "nope", "--order", "5"])[0] == 2

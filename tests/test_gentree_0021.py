@@ -95,14 +95,15 @@ def test_level_8_total():
 
 
 def test_recurrence_tables():
-    t2 = gt.triple_recurrence_tables(2)
+    levels = gt.triple_recurrence_levels(8)
+    t2 = levels[1]
     assert t2.g1 == {(1, 1): 1} and not t2.g0
-    t4 = gt.triple_recurrence_tables(4)
+    t4 = levels[3]
     assert gt.dense_a0(t4) == A0_4
     assert gt.dense_a1(t4) == A1_4
     assert t4.value0(1, 2) == 4 and t4.value0(1, 3) == 1 and t4.value0(2, 2) == 1
     assert t4.value1(1, 2) == 3
-    t8 = gt.triple_recurrence_tables(8)
+    t8 = levels[7]
     assert gt.dense_a0(t8) == A0_8
     assert gt.dense_a1(t8) == A1_8
 
@@ -162,7 +163,7 @@ def test_oracle_labels_match_rule():
 
 
 def test_csv_rows_schema():
-    rows = gt.csv_rows(gt.triple_recurrence_tables(3))
+    rows = gt.csv_rows(gt.triple_recurrence_levels(3)[-1])
     assert rows == [
         (3, "g0", 1, 2, 1),
         (3, "g1", 1, 1, 1),

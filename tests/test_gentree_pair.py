@@ -31,7 +31,7 @@ def label(seq):
 
 
 def cd_tables(n):
-    return gp.cd_tables_from(gp.pair_recurrence_table(n))
+    return gp.cd_tables_from(gp.pair_recurrence_levels(n)[-1])
 
 
 def test_pair_label_examples():
@@ -66,19 +66,20 @@ def test_simulated_levels():
 
 
 def test_recurrence_base_and_tables():
-    assert gp.pair_recurrence_table(1).g == {(0, 1): 1}
-    t4 = gp.pair_recurrence_table(4)
+    assert gp.pair_recurrence_levels(1)[-1].g == {(0, 1): 1}
+    levels = gp.pair_recurrence_levels(7)
+    t4 = levels[3]
     assert t4.value(0, 2) == 5
     assert t4.value(1, 2) == 3
     assert t4.value(1, 3) == 1
     assert t4.value(2, 3) == 4
     assert t4.value(0, 1) == t4.value(3, 4) == 1
-    assert gp.dense_array(4) == A4
-    assert gp.dense_array(5) == A5
-    t7 = gp.pair_recurrence_table(7)
+    assert t4.dense() == A4
+    assert levels[4].dense() == A5
+    t7 = levels[6]
     assert t7.value(0, 2) == 256
     assert t7.value(1, 3) == 94
-    assert gp.dense_array(7) == A7
+    assert t7.dense() == A7
 
 
 def test_simulation_matches_recurrence_to_40():
@@ -123,9 +124,7 @@ def test_diagonal_le_column_sum_and_corners():
 
 
 def test_structure_relations_hold_to_15():
-    report = gp.check_structure_relations(15)
-    assert report.passed
-    assert report.violations == ()
+    assert gp.check_structure_relations(gp.pair_recurrence_levels(15)) == []
 
 
 def test_structure_relations_spot_values():
@@ -133,7 +132,7 @@ def test_structure_relations_spot_values():
     cd4 = cd_tables(4)
     assert cd4.c[2] == cd4.c[1] - cd4.d[1] == 5
     # interior_shift at n=7: g(1,3) = g(3,4) = 94
-    t7 = gp.pair_recurrence_table(7)
+    t7 = gp.pair_recurrence_levels(7)[-1]
     assert t7.value(1, 3) == t7.value(3, 4) == 94
 
 
@@ -142,9 +141,9 @@ def test_structure_relations_catch_corruption():
     broken = dict(levels[4].g)
     broken[(1, 3)] = broken.get((1, 3), 0) + 1
     levels[4] = gp.PairLevelTable(5, broken)
-    report = gp.check_structure_relations(5, levels=levels)
-    assert not report.passed
-    assert any(v.n == 5 for v in report.violations)
+    violations = gp.check_structure_relations(levels)
+    assert violations
+    assert any(v.n == 5 for v in violations)
 
 
 def test_oracle_labels_match_rule():
@@ -157,7 +156,7 @@ def test_oracle_labels_match_rule():
 
 
 def test_csv_rows_sorted_and_complete():
-    rows = gp.csv_rows(gp.pair_recurrence_table(4))
+    rows = gp.csv_rows(gp.pair_recurrence_levels(4)[-1])
     assert rows == [
         (4, 0, 1, 1),
         (4, 0, 2, 5),

@@ -12,10 +12,12 @@ from ascentseq.cli import main
 
 
 def test_golden_constants_match_recurrences():
+    pair = gp.pair_recurrence_levels(max(verify.GOLDEN_PAIR_ARRAYS))
     for n, rows in verify.GOLDEN_PAIR_ARRAYS.items():
-        assert gp.dense_array(n) == rows
+        assert pair[n - 1].dense() == rows
+    triple = gt.triple_recurrence_levels(8)
     for n in range(2, 9):
-        tables = gt.triple_recurrence_tables(n)
+        tables = triple[n - 1]
         assert gt.dense_a0(tables) == verify.GOLDEN_A0_ARRAYS[n]
         assert gt.dense_a1(tables) == verify.GOLDEN_A1_ARRAYS[n]
 
@@ -114,6 +116,37 @@ def test_wrong_0021_rule_fails_rule_vs_definition(monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "suite, gf, exps",
+    [
+        ("pair", "C_pair", (2, 4)),  # a wrong coefficient
+        ("pair", "D_pair", (6, 4)),  # a term off the support, i > n
+        ("pair", "C_pair", (1, 0)),  # a term at level 0
+        ("0021", "C_0021", (1, 2, 5)),
+        ("0021", "D_0021", (1, 0, 4)),  # g1 needs r >= 1
+        ("0021", "C_0021", (0, 0, 0)),
+    ],
+)
+def test_perturbed_closed_form_fails_gf_coefficients(monkeypatch, suite, gf, exps):
+    real = verify.build_closed_form
+
+    def perturbed(which, order):
+        series = real(which, order)
+        if which == gf:
+            series = series + verify.MSeries.poly(series.vars, order, {exps: 1})
+        return series
+
+    monkeypatch.setattr(verify, "build_closed_form", perturbed)
+    crosscheck, prefix = {
+        "pair": (verify.crosscheck_pair, "pair"),
+        "0021": (verify.crosscheck_0021, "t0021"),
+    }[suite]
+    report = crosscheck(n_max=4, gf_order=12, oracle_max=3)
+    rec = _record(report, f"{prefix}.gf.coefficients")
+    assert not rec.passed
+    assert str(exps) in rec.detail
+
+
 def test_reports_are_deterministic_and_sorted():
     a = verify.crosscheck_pair(n_max=5, gf_order=10)
     b = verify.crosscheck_pair(n_max=5, gf_order=10)
@@ -173,6 +206,10 @@ def test_invalid_ranges_rejected():
             verify.crosscheck_pair(n_max=5, gf_order=10, oracle_max=depth)
         with pytest.raises(ValueError, match="oracle_max must be at least 1"):
             verify.crosscheck_0021(n_max=5, gf_order=10, oracle_max=depth)
+    # a gf order below 2 would check no level and still pass
+    for crosscheck in (verify.crosscheck_pair, verify.crosscheck_0021):
+        with pytest.raises(ValueError, match="gf_order 1 must be at least 2"):
+            crosscheck(n_max=1, gf_order=1)
     with pytest.raises(ValueError):
         verify.wilf_equivalence_check(0)
 
