@@ -106,12 +106,12 @@ def _normalize_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Word, ...]:
 #
 # A tracker keeps every partial match of its pattern against the word pushed
 # so far, bucketed by the digit each match would consume next.  Matches with
-# k-1 positions filled feed a counter per digit, shared by all trackers of a
-# pattern set: forbid[d] > 0 iff appending d completes some pattern.  The
-# structure only grows when a digit is pushed (old subsequences stay
-# subsequences), so undo just pops the additions recorded on the push's
-# trail.  contains, valid_append_set and the depth-first walk all read
-# forbid; digits must lie in 0..max_digit.
+# k-1 positions filled are not stored: they only feed a counter per digit,
+# shared by all trackers of a pattern set, and forbid[d] > 0 iff appending d
+# completes some pattern.  The structure only grows when a digit is pushed
+# (old subsequences stay subsequences), so undo just pops the additions
+# recorded on the push's trail.  contains, valid_append_set and the
+# depth-first walk all read forbid; digits must lie in 0..max_digit.
 # ---------------------------------------------------------------------------
 
 
@@ -128,10 +128,11 @@ class _PatternTracker:
         self.pattern = pattern
         self.k = len(pattern)
         self.empty = (None,) * (max(pattern) + 1)
-        # accept[j][d]: partial matches with j positions filled that can
-        # consume d as position j.  Level k-1 feeds the shared forbid count.
-        self.accept = [[[] for _ in range(max_digit + 1)] for _ in range(self.k)]
-        self.seen = [set() for _ in range(self.k)]
+        # accept[j][d], 1 <= j <= k-2: partial matches with j positions filled
+        # that can consume d as position j; seen[j], 1 <= j <= k-1: the matches
+        # with j positions filled.  No stored match has 0 positions filled.
+        self.accept = [None] + [[[] for _ in range(max_digit + 1)] for _ in range(self.k - 2)]
+        self.seen = [None] + [set() for _ in range(self.k - 1)]
 
     def window(self, pm: tuple, c: int, max_digit: int) -> tuple[int, int]:
         v = pm[c]
@@ -171,24 +172,26 @@ class _PatternTracker:
             seen.add(pm2)
             lo, hi = self.window(pm2, p[j2], max_digit)
             trail.append((j2, pm2, lo, hi))
-            level = self.accept[j2]
-            for dd in range(lo, hi + 1):
-                level[dd].append(pm2)
             if j2 == last:
                 for dd in range(lo, hi + 1):
                     forbid[dd] += 1
+            else:
+                level = self.accept[j2]
+                for dd in range(lo, hi + 1):
+                    level[dd].append(pm2)
         return trail
 
     def undo(self, trail: list, forbid: list[int]) -> None:
         last = self.k - 1
         for j2, pm2, lo, hi in reversed(trail):
             self.seen[j2].remove(pm2)
-            level = self.accept[j2]
-            for dd in range(lo, hi + 1):
-                level[dd].pop()
             if j2 == last:
                 for dd in range(lo, hi + 1):
                     forbid[dd] -= 1
+            else:
+                level = self.accept[j2]
+                for dd in range(lo, hi + 1):
+                    level[dd].pop()
 
 
 def contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -246,7 +249,14 @@ def valid_append_set(
 # ---------------------------------------------------------------------------
 # Depth-first enumeration: one tracker per pattern follows the current
 # sequence, pushing a digit before descending and undoing it on the way back,
-# so every node's appendable digits are read off forbid.
+# so every node's appendable digits are read off forbid.  The deepest level
+# the walk descends to only lists those digits, so nothing is pushed there:
+# the last digit d of a word there only bumps forbid over the windows of the
+# complete-but-one matches that d creates, which are the matches with k-2
+# positions filled that can consume d (the empty match when k = 2), extended
+# by d.  They are not checked against the stored ones, since a repeat only
+# bumps forbid where it is positive already, and the bumps are taken back on
+# the way up.
 # ---------------------------------------------------------------------------
 
 
@@ -262,8 +272,13 @@ def _walk(
     length n; collected holds the avoiders of length want_length in
     lexicographic order (empty when want_length is None).  When visit is
     given it is called as visit(seq, appendable) for every avoider of length
-    at most n_max, in lexicographic order; the walk then also pushes the
+    at most n_max, in lexicographic order; the walk then also reaches the
     avoiders of length n_max, to read their appendable digits.
+
+    The word (0,) and every word shorter than reach - 1 is pushed onto the
+    trackers.  Any other word of length reach - 1 only has its appendable
+    digits read, so its last digit just bumps forbid, and the bumps are taken
+    back when the walk leaves it.
     """
     counts = [0] * (n_max + 1)
     collected: list[Word] = []
@@ -292,7 +307,7 @@ def _walk(
         counts[depth + 1] += len(kids)
         if want_length == depth + 1:
             collected.extend(tuple(seq) + (d,) for d in kids)
-        if depth + 1 < reach:
+        if depth + 2 < reach:
             last = seq[-1]
             for d in kids:
                 trails = [t.push(d, max_digit, forbid) for t in trackers]
@@ -301,6 +316,26 @@ def _walk(
                 seq.pop()
                 for t, tr in zip(trackers, trails):
                     t.undo(tr, forbid)
+        elif depth + 2 == reach:
+            last = seq[-1]
+            for d in kids:
+                windows = []  # of the complete-but-one matches d creates
+                for t in trackers:
+                    p = t.pattern
+                    if t.k == 2:
+                        windows.append(t.window(_extend(t.empty, p[0], d), p[1], max_digit))
+                    else:
+                        for pm in t.accept[t.k - 2][d]:
+                            windows.append(t.window(_extend(pm, p[-2], d), p[-1], max_digit))
+                for lo, hi in windows:
+                    for x in range(lo, hi + 1):
+                        forbid[x] += 1
+                seq.append(d)
+                rec(depth + 1, asc + 1 if d > last else asc)
+                seq.pop()
+                for lo, hi in windows:
+                    for x in range(lo, hi + 1):
+                        forbid[x] -= 1
 
     if reach > 1:
         rec(1, 0)

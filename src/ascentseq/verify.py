@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 from . import gentree_0021 as g0021
@@ -116,10 +117,22 @@ def combine_reports(reports: list[VerificationReport]) -> VerificationReport:
     return out.finalize()
 
 
+def _show(x) -> str:
+    """repr(x), but with each Fraction inside written as coeffs writes it: 9, -1/2."""
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, (tuple, list)):
+        inner = ", ".join(map(_show, x))
+        if isinstance(x, list):
+            return f"[{inner}]"
+        return f"({inner},)" if len(x) == 1 else f"({inner})"
+    return repr(x)
+
+
 def _add(records: list[CheckRecord], check_id: str, scope: str, failures: list, note: str = "") -> None:
     if failures:
         records.append(
-            CheckRecord(check_id, scope, "fail", f"first counterexample: {failures[0]}")
+            CheckRecord(check_id, scope, "fail", f"first counterexample: {_show(failures[0])}")
         )
     else:
         records.append(CheckRecord(check_id, scope, "pass", note))

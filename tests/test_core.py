@@ -15,6 +15,9 @@ def all_ascent_sequences(n):
     return seqs
 
 
+CLASSES = [[(2, 0, 1), (2, 1, 0)], [(0, 0, 2, 1)], [(1, 0, 1, 2)]]
+
+
 def test_asc_count_examples():
     assert core.asc_count((0, 1, 0, 2)) == 2
     assert core.asc_count((0,)) == 0
@@ -233,3 +236,54 @@ def test_pattern_text_roundtrip():
         core.parse_patterns("12")  # not reduced
     with pytest.raises(ValueError):
         core.parse_patterns("")
+
+
+# Drawn once with random.Random(4171), the seed fixed before the first run:
+# 24 sets of 1-3 patterns, each the reduction of a random word of length 2-5.
+RANDOM_PATTERN_SETS = [
+    "011", "00,01,010", "0111,2110,30321", "00321,0212,1002", "13203",
+    "13020", "0111,11011,2013", "00,0211", "00,02313,20310", "102,22031",
+    "00,120,12202", "10,2102", "01120,02021,03321", "01,12001", "10,100,101",
+    "100", "01200,31032", "100", "011,02132", "00,1230", "001,101,22110",
+    "00,1011,1101", "00,01,02211", "00,012",
+]
+
+
+@pytest.mark.parametrize("text", RANDOM_PATTERN_SETS)
+def test_walk_matches_naive_oracle_on_random_pattern_sets(monkeypatch, text):
+    # at n = 1 and 2 the first word is the last one pushed; patterns of
+    # length 5 are longer than the shortest words
+    monkeypatch.setattr(core, "_COUNT_CACHE", {})
+    B = core.parse_patterns(text)
+    upto = []  # the avoiders of every length up to n
+    for n in range(1, 8):
+        expected = [
+            w
+            for w in all_ascent_sequences(n)
+            if not any(core.contains_naive(w, p) for p in B)
+        ]
+        assert core.enumerate_avoiders(n, B) == expected, n
+        assert core.count_avoiders(n, B)[-1] == len(expected), n
+        upto += expected
+        visited = []
+
+        def visit(seq, appendable):
+            assert appendable == core.valid_append_set(seq, B), seq
+            visited.append(seq)
+
+        core.visit_avoiders(n, B, visit)
+        assert visited == sorted(upto), n
+
+
+@pytest.mark.parametrize("B", CLASSES)
+def test_visit_reads_valid_append_set_to_8(B):
+    # the avoiders of length 8 are the deepest the walk reaches, where it
+    # bumps forbid without pushing
+    seen = [0] * 9
+
+    def visit(seq, appendable):
+        assert appendable == core.valid_append_set(seq, B), seq
+        seen[len(seq)] += 1
+
+    core.visit_avoiders(8, B, visit)
+    assert seen[1:] == [1, 2, 5, 15, 51, 188, 731, 2950]

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -116,6 +117,19 @@ def test_wrong_0021_rule_fails_rule_vs_definition(monkeypatch):
     )
 
 
+def _perturb(monkeypatch, gf, exps, c):
+    """Add the term c * exps to the closed form gf wherever verify builds it."""
+    real = verify.build_closed_form
+
+    def perturbed(which, order):
+        series = real(which, order)
+        if which == gf:
+            series = series + verify.MSeries.poly(series.vars, order, {exps: c})
+        return series
+
+    monkeypatch.setattr(verify, "build_closed_form", perturbed)
+
+
 @pytest.mark.parametrize(
     "suite, gf, exps",
     [
@@ -128,15 +142,7 @@ def test_wrong_0021_rule_fails_rule_vs_definition(monkeypatch):
     ],
 )
 def test_perturbed_closed_form_fails_gf_coefficients(monkeypatch, suite, gf, exps):
-    real = verify.build_closed_form
-
-    def perturbed(which, order):
-        series = real(which, order)
-        if which == gf:
-            series = series + verify.MSeries.poly(series.vars, order, {exps: 1})
-        return series
-
-    monkeypatch.setattr(verify, "build_closed_form", perturbed)
+    _perturb(monkeypatch, gf, exps, 1)
     crosscheck, prefix = {
         "pair": (verify.crosscheck_pair, "pair"),
         "0021": (verify.crosscheck_0021, "t0021"),
@@ -145,6 +151,17 @@ def test_perturbed_closed_form_fails_gf_coefficients(monkeypatch, suite, gf, exp
     rec = _record(report, f"{prefix}.gf.coefficients")
     assert not rec.passed
     assert str(exps) in rec.detail
+    assert "Fraction" not in rec.detail
+
+
+def test_counterexamples_write_fractions_as_coeffs_does(monkeypatch):
+    _perturb(monkeypatch, "C_0021", (1, 2, 5), Fraction(-1, 2))
+    report = verify.crosscheck_0021(n_max=4, gf_order=12, oracle_max=3)
+    details = {r.check_id: r.detail for r in report.records if not r.passed}
+    assert details == {
+        "t0021.gf.coefficients": "first counterexample: ('C', (1, 2, 5), 27/2, 14)",
+        "t0021.gf.level_totals": "first counterexample: (5, 101/2, 51)",
+    }
 
 
 def test_reports_are_deterministic_and_sorted():
