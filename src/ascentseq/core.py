@@ -249,14 +249,14 @@ def valid_append_set(
 # ---------------------------------------------------------------------------
 # Depth-first enumeration: one tracker per pattern follows the current
 # sequence, pushing a digit before descending and undoing it on the way back,
-# so every node's appendable digits are read off forbid.  The deepest level
-# the walk descends to only lists those digits, so nothing is pushed there:
-# the last digit d of a word there only bumps forbid over the windows of the
-# complete-but-one matches that d creates, which are the matches with k-2
-# positions filled that can consume d (the empty match when k = 2), extended
-# by d.  They are not checked against the stored ones, since a repeat only
-# bumps forbid where it is positive already, and the bumps are taken back on
-# the way up.
+# so every node's appendable digits are read off forbid.  The last words whose
+# appendable digits the walk reads (length n_max - 1 when counting or
+# enumerating, n_max when visiting) are not walked into, and nothing is
+# written for them: a word seq + (d,) there may append the digits that forbid
+# allows after seq, less the windows of the complete-but-one matches d creates.
+# Those are the matches with k-2 positions filled that can consume d (the
+# empty match when k = 2), extended by d.  Both sets are bitmasks over the
+# digits, so counting reads a popcount and listing reads the set bits.
 # ---------------------------------------------------------------------------
 
 
@@ -276,9 +276,9 @@ def _walk(
     avoiders of length n_max, to read their appendable digits.
 
     The word (0,) and every word shorter than reach - 1 is pushed onto the
-    trackers.  Any other word of length reach - 1 only has its appendable
-    digits read, so its last digit just bumps forbid, and the bumps are taken
-    back when the walk leaves it.
+    trackers.  Any other word of length reach - 1 is never pushed nor passed
+    to rec: its parent reads its appendable digits off a bitmask, without
+    writing to forbid.
     """
     counts = [0] * (n_max + 1)
     collected: list[Word] = []
@@ -317,25 +317,30 @@ def _walk(
                 for t, tr in zip(trackers, trails):
                     t.undo(tr, forbid)
         elif depth + 2 == reach:
+            # digits 0..asc+2 that forbid allows: the top digit of a kid d
+            # is asc+2 if d ascends and asc+1 otherwise
+            free = 0
+            for x in range(asc + 3):
+                if not forbid[x]:
+                    free |= 1 << x
             last = seq[-1]
             for d in kids:
-                windows = []  # of the complete-but-one matches d creates
+                hit = 0  # the windows of the complete-but-one matches d creates
                 for t in trackers:
                     p = t.pattern
-                    if t.k == 2:
-                        windows.append(t.window(_extend(t.empty, p[0], d), p[1], max_digit))
-                    else:
-                        for pm in t.accept[t.k - 2][d]:
-                            windows.append(t.window(_extend(pm, p[-2], d), p[-1], max_digit))
-                for lo, hi in windows:
-                    for x in range(lo, hi + 1):
-                        forbid[x] += 1
-                seq.append(d)
-                rec(depth + 1, asc + 1 if d > last else asc)
-                seq.pop()
-                for lo, hi in windows:
-                    for x in range(lo, hi + 1):
-                        forbid[x] -= 1
+                    for pm in (t.empty,) if t.k == 2 else t.accept[t.k - 2][d]:
+                        lo, hi = t.window(_extend(pm, p[-2], d), p[-1], max_digit)
+                        if lo <= hi:
+                            hit |= (2 << hi) - (1 << lo)
+                top = asc + 2 if d > last else asc + 1
+                leaf = free & ~hit & ((2 << top) - 1)
+                if visit is not None:
+                    visit((*seq, d), tuple(x for x in range(top + 1) if leaf >> x & 1))
+                else:
+                    counts[depth + 2] += leaf.bit_count()
+                    if want_length == depth + 2:
+                        word = (*seq, d)
+                        collected.extend(word + (x,) for x in range(top + 1) if leaf >> x & 1)
 
     if reach > 1:
         rec(1, 0)

@@ -275,10 +275,28 @@ def test_walk_matches_naive_oracle_on_random_pattern_sets(monkeypatch, text):
         assert visited == sorted(upto), n
 
 
+@pytest.mark.parametrize("text", ["201,210", "0021", "1012"] + RANDOM_PATTERN_SETS)
+def test_count_enumerate_and_visit_agree_at_8_and_9(monkeypatch, text):
+    # past the naive oracle's reach: counting takes the popcount of each
+    # deepest word's bitmask, enumerating lists its set bits, and visiting
+    # reads the length-n words off forbid one level up
+    monkeypatch.setattr(core, "_COUNT_CACHE", {})
+    B = core.parse_patterns(text)
+    for n in (8, 9):
+        visited = [0]
+
+        def visit(seq, appendable):
+            visited[0] += len(seq) == n
+
+        core.visit_avoiders(n, B, visit)
+        count = core.count_avoiders(n, B)[-1]
+        assert count == len(core.enumerate_avoiders(n, B)) == visited[0], n
+
+
 @pytest.mark.parametrize("B", CLASSES)
 def test_visit_reads_valid_append_set_to_8(B):
-    # the avoiders of length 8 are the deepest the walk reaches, where it
-    # bumps forbid without pushing
+    # the avoiders of length 8 are the deepest the walk reaches: their
+    # parents read their appendable digits off a bitmask, without pushing
     seen = [0] * 9
 
     def visit(seq, appendable):
