@@ -11,9 +11,9 @@ containment, the set of digits that can legally extend a sequence without
 creating a forbidden pattern, and depth-first enumeration/counting of the
 avoidance class of a pattern set.  All of these run on one incremental
 dynamic program over pattern prefixes (partial assignments of sequence
-values to pattern values), which the depth-first walk extends and undoes
-one digit at a time.  A naive scan over all index subsequences is kept as
-the test oracle.
+values to pattern values), extended one digit at a time; the digits that
+would complete a pattern form one bitmask.  A naive scan over all index
+subsequences is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -104,14 +104,14 @@ def _normalize_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Word, ...]:
 # equal pm[p[j]] if that value is already assigned, and otherwise must lie
 # strictly between the nearest assigned values below and above p[j].
 #
-# A tracker keeps every partial match of its pattern against the word pushed
-# so far, bucketed by the digit each match would consume next.  Matches with
-# k-1 positions filled are not stored: they only feed a counter per digit,
-# shared by all trackers of a pattern set, and forbid[d] > 0 iff appending d
-# completes some pattern.  The structure only grows when a digit is pushed
-# (old subsequences stay subsequences), so undo just pops the additions
-# recorded on the push's trail.  contains, valid_append_set and the
-# depth-first walk all read forbid; digits must lie in 0..max_digit.
+# A tracker keeps the partial matches of its pattern with 1..k-2 positions
+# filled against the word pushed so far, bucketed by the digit each would
+# consume next.  Matches with k-1 positions filled are not stored: the caller
+# keeps the union of their windows, the digits that complete the pattern, as
+# one bitmask called forbid.  Partial matches only grow with the word (old
+# subsequences stay subsequences), so forbid only gains bits, and undo pops
+# what push appended.  completes(d) must be read before push(d): the matches
+# push(d) creates may not consume that same d.  Digits lie in 0..max_digit.
 # ---------------------------------------------------------------------------
 
 
@@ -122,23 +122,23 @@ def _extend(pm: tuple, c: int, x: int) -> tuple:
 
 
 class _PatternTracker:
-    __slots__ = ("pattern", "k", "empty", "accept", "seen")
+    __slots__ = ("pattern", "k", "max_digit", "empty", "accept", "seen")
 
     def __init__(self, pattern: Word, max_digit: int):
         self.pattern = pattern
         self.k = len(pattern)
+        self.max_digit = max_digit
         self.empty = (None,) * (max(pattern) + 1)
         # accept[j][d], 1 <= j <= k-2: partial matches with j positions filled
-        # that can consume d as position j; seen[j], 1 <= j <= k-1: the matches
-        # with j positions filled.  No stored match has 0 positions filled.
+        # that can consume d as position j; seen[j] is their set: none is stored twice.
         self.accept = [None] + [[[] for _ in range(max_digit + 1)] for _ in range(self.k - 2)]
-        self.seen = [None] + [set() for _ in range(self.k - 1)]
+        self.seen = [None] + [set() for _ in range(self.k - 2)]
 
-    def window(self, pm: tuple, c: int, max_digit: int) -> tuple[int, int]:
+    def window(self, pm: tuple, c: int) -> tuple[int, int]:
         v = pm[c]
         if v is not None:
             return v, v
-        lo, hi = 0, max_digit
+        lo, hi = 0, self.max_digit
         for cc in range(c - 1, -1, -1):
             w = pm[cc]
             if w is not None:
@@ -151,47 +151,48 @@ class _PatternTracker:
                 break
         return lo, hi
 
-    def push(self, d: int, max_digit: int, forbid: list[int]) -> list:
-        """Append digit d; returns a trail for undo."""
-        k = self.k
+    def completes(self, d: int) -> int:
+        """Bitmask of the digits that complete the pattern once d is appended.
+
+        These are the windows of the matches with k-2 positions filled that
+        can consume d (the empty match when k = 2), each extended by d.
+        """
         p = self.pattern
-        fresh = [(1, _extend(self.empty, p[0], d))]
-        for j in range(1, k - 1):
-            bucket = self.accept[j][d]
+        mask = 0
+        for pm in (self.empty,) if self.k == 2 else self.accept[self.k - 2][d]:
+            lo, hi = self.window(_extend(pm, p[-2], d), p[-1])
+            if lo <= hi:
+                mask |= (2 << hi) - (1 << lo)
+        return mask
+
+    def push(self, d: int) -> list:
+        """Append digit d; returns a trail for undo."""
+        p = self.pattern
+        fresh = [(1, _extend(self.empty, p[0], d))] if self.k > 2 else []
+        # the new matches join the buckets only after every bucket is read,
+        # so none of them consumes this same d
+        for j in range(1, self.k - 2):
             cj = p[j]
-            # snapshot length: states added during this push must not
-            # consume the same appended digit
-            for idx in range(len(bucket)):
-                fresh.append((j + 1, _extend(bucket[idx], cj, d)))
+            fresh.extend((j + 1, _extend(pm, cj, d)) for pm in self.accept[j][d])
         trail = []
-        last = k - 1
         for j2, pm2 in fresh:
             seen = self.seen[j2]
             if pm2 in seen:
                 continue
             seen.add(pm2)
-            lo, hi = self.window(pm2, p[j2], max_digit)
+            lo, hi = self.window(pm2, p[j2])
             trail.append((j2, pm2, lo, hi))
-            if j2 == last:
-                for dd in range(lo, hi + 1):
-                    forbid[dd] += 1
-            else:
-                level = self.accept[j2]
-                for dd in range(lo, hi + 1):
-                    level[dd].append(pm2)
+            level = self.accept[j2]
+            for dd in range(lo, hi + 1):
+                level[dd].append(pm2)
         return trail
 
-    def undo(self, trail: list, forbid: list[int]) -> None:
-        last = self.k - 1
+    def undo(self, trail: list) -> None:
         for j2, pm2, lo, hi in reversed(trail):
             self.seen[j2].remove(pm2)
-            if j2 == last:
-                for dd in range(lo, hi + 1):
-                    forbid[dd] -= 1
-            else:
-                level = self.accept[j2]
-                for dd in range(lo, hi + 1):
-                    level[dd].pop()
+            level = self.accept[j2]
+            for dd in range(lo, hi + 1):
+                level[dd].pop()
 
 
 def contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -203,13 +204,13 @@ def contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
         return True
     # reducing first keeps every digit a valid bucket index
     w = reduce(word)
-    max_digit = max(w)
-    tracker = _PatternTracker(p, max_digit)
-    forbid = [0] * (max_digit + 1)
+    tracker = _PatternTracker(p, max(w))
+    forbid = 0
     for x in w:
-        if forbid[x]:
+        if forbid >> x & 1:
             return True
-        tracker.push(x, max_digit, forbid)
+        forbid |= tracker.completes(x)
+        tracker.push(x)
     return False
 
 
@@ -239,24 +240,24 @@ def valid_append_set(
     lo = min(0, *w)
     max_digit = max(top, *w) - lo
     trackers = [_PatternTracker(p, max_digit) for p in B]
-    forbid = [0] * (max_digit + 1)
+    forbid = 0
     for x in w:
         for t in trackers:
-            t.push(x - lo, max_digit, forbid)
-    return tuple(d for d in range(top + 1) if not forbid[d - lo])
+            forbid |= t.completes(x - lo)
+            t.push(x - lo)
+    return tuple(d for d in range(top + 1) if not forbid >> (d - lo) & 1)
 
 
 # ---------------------------------------------------------------------------
 # Depth-first enumeration: one tracker per pattern follows the current
-# sequence, pushing a digit before descending and undoing it on the way back,
-# so every node's appendable digits are read off forbid.  The last words whose
-# appendable digits the walk reads (length n_max - 1 when counting or
-# enumerating, n_max when visiting) are not walked into, and nothing is
-# written for them: a word seq + (d,) there may append the digits that forbid
-# allows after seq, less the windows of the complete-but-one matches d creates.
-# Those are the matches with k-2 positions filled that can consume d (the
-# empty match when k = 2), extended by d.  Both sets are bitmasks over the
-# digits, so counting reads a popcount and listing reads the set bits.
+# sequence, and rec gets the node's forbid mask from its parent: the parent's
+# mask with the trackers' completes() for the node's last digit.  A node's
+# appendable digits are the digits up to asc + 1 that its mask leaves free.
+# The last words whose appendable digits the walk reads (length n_max - 1
+# when counting or enumerating, n_max when visiting) are neither pushed nor
+# passed to rec, as a call per word costs more than the loop body: their
+# parent reads their masks in its kid loop, so counting takes a popcount and
+# listing reads the set bits.
 # ---------------------------------------------------------------------------
 
 
@@ -277,8 +278,7 @@ def _walk(
 
     The word (0,) and every word shorter than reach - 1 is pushed onto the
     trackers.  Any other word of length reach - 1 is never pushed nor passed
-    to rec: its parent reads its appendable digits off a bitmask, without
-    writing to forbid.
+    to rec: its parent reads its appendable digits off its mask.
     """
     counts = [0] * (n_max + 1)
     collected: list[Word] = []
@@ -288,18 +288,18 @@ def _walk(
         return counts, collected  # the single-value pattern occurs in every word
     # longest word whose digits the trackers must see
     reach = n_max if visit is None else n_max + 1
-    max_digit = reach - 1
-    trackers = [_PatternTracker(p, max_digit) for p in patterns if len(p) <= reach]
-    forbid = [0] * (max_digit + 1)
+    trackers = [_PatternTracker(p, reach - 1) for p in patterns if len(p) <= reach]
     seq = [0]
+    forbid = 0
     for t in trackers:
-        t.push(0, max_digit, forbid)
+        forbid |= t.completes(0)
+        t.push(0)
     counts[1] = 1
     if want_length == 1:
         collected.append((0,))
 
-    def rec(depth: int, asc: int) -> None:
-        kids = [d for d in range(asc + 2) if not forbid[d]]
+    def rec(depth: int, asc: int, forbid: int) -> None:
+        kids = [d for d in range(asc + 2) if not forbid >> d & 1]
         if visit is not None:
             visit(tuple(seq), tuple(kids))
             if depth == n_max:
@@ -307,43 +307,34 @@ def _walk(
         counts[depth + 1] += len(kids)
         if want_length == depth + 1:
             collected.extend(tuple(seq) + (d,) for d in kids)
-        if depth + 2 < reach:
-            last = seq[-1]
-            for d in kids:
-                trails = [t.push(d, max_digit, forbid) for t in trackers]
+        if depth + 2 > reach:
+            return
+        last = seq[-1]
+        for d in kids:
+            child = forbid
+            for t in trackers:
+                child |= t.completes(d)
+            kid_asc = asc + 1 if d > last else asc
+            if depth + 2 < reach:
+                trails = [t.push(d) for t in trackers]
                 seq.append(d)
-                rec(depth + 1, asc + 1 if d > last else asc)
+                rec(depth + 1, kid_asc, child)
                 seq.pop()
                 for t, tr in zip(trackers, trails):
-                    t.undo(tr, forbid)
-        elif depth + 2 == reach:
-            # digits 0..asc+2 that forbid allows: the top digit of a kid d
-            # is asc+2 if d ascends and asc+1 otherwise
-            free = 0
-            for x in range(asc + 3):
-                if not forbid[x]:
-                    free |= 1 << x
-            last = seq[-1]
-            for d in kids:
-                hit = 0  # the windows of the complete-but-one matches d creates
-                for t in trackers:
-                    p = t.pattern
-                    for pm in (t.empty,) if t.k == 2 else t.accept[t.k - 2][d]:
-                        lo, hi = t.window(_extend(pm, p[-2], d), p[-1], max_digit)
-                        if lo <= hi:
-                            hit |= (2 << hi) - (1 << lo)
-                top = asc + 2 if d > last else asc + 1
-                leaf = free & ~hit & ((2 << top) - 1)
-                if visit is not None:
-                    visit((*seq, d), tuple(x for x in range(top + 1) if leaf >> x & 1))
-                else:
-                    counts[depth + 2] += leaf.bit_count()
-                    if want_length == depth + 2:
-                        word = (*seq, d)
-                        collected.extend(word + (x,) for x in range(top + 1) if leaf >> x & 1)
+                    t.undo(tr)
+                continue
+            top = kid_asc + 1
+            leaf = ~child & ((2 << top) - 1)
+            if visit is not None:
+                visit((*seq, d), tuple(x for x in range(top + 1) if leaf >> x & 1))
+            else:
+                counts[depth + 2] += leaf.bit_count()
+                if want_length == depth + 2:
+                    word = (*seq, d)
+                    collected.extend(word + (x,) for x in range(top + 1) if leaf >> x & 1)
 
     if reach > 1:
-        rec(1, 0)
+        rec(1, 0, forbid)
     return counts, collected
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -106,14 +107,20 @@ def test_extends_without_pattern_examples():
 
 
 def test_extends_matches_contains_on_all_small_avoiders():
-    # the naive oracle, not contains, which shares the engine under test
-    for B in ([(2, 0, 1), (2, 1, 0)], [(0, 0, 2, 1)]):
+    # the naive oracle, not contains, which shares the engine under test;
+    # as a avoids B, a + (d,) contains p iff some occurrence ends at d
+    for B in CLASSES:
         for n in range(1, 8):
             for a in core.enumerate_avoiders(n, B):
+                assert not any(core.contains_naive(a, p) for p in B), a
                 appendable = core.valid_append_set(a, B)
                 for d in range(core.asc_count(a) + 2):
-                    expected = not any(core.contains_naive(a + (d,), p) for p in B)
-                    assert (d in appendable) == expected
+                    expected = not any(
+                        core.reduce(s + (d,)) == p
+                        for p in B
+                        for s in combinations(a, len(p) - 1)
+                    )
+                    assert (d in appendable) == expected, (a, d)
 
 
 def test_valid_append_set_examples():
@@ -278,8 +285,8 @@ def test_walk_matches_naive_oracle_on_random_pattern_sets(monkeypatch, text):
 @pytest.mark.parametrize("text", ["201,210", "0021", "1012"] + RANDOM_PATTERN_SETS)
 def test_count_enumerate_and_visit_agree_at_8_and_9(monkeypatch, text):
     # past the naive oracle's reach: counting takes the popcount of each
-    # deepest word's bitmask, enumerating lists its set bits, and visiting
-    # reads the length-n words off forbid one level up
+    # deepest word's mask, enumerating lists its set bits, and visiting
+    # reads the length-n words' masks in their parents' kid loops
     monkeypatch.setattr(core, "_COUNT_CACHE", {})
     B = core.parse_patterns(text)
     for n in (8, 9):
@@ -295,8 +302,8 @@ def test_count_enumerate_and_visit_agree_at_8_and_9(monkeypatch, text):
 
 @pytest.mark.parametrize("B", CLASSES)
 def test_visit_reads_valid_append_set_to_8(B):
-    # the avoiders of length 8 are the deepest the walk reaches: their
-    # parents read their appendable digits off a bitmask, without pushing
+    # the avoiders of length 8 are the deepest the walk reaches: they are
+    # never pushed, and their parents read their appendable digits off masks
     seen = [0] * 9
 
     def visit(seq, appendable):
