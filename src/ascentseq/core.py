@@ -8,12 +8,15 @@ pattern if some subsequence of it is order-isomorphic to the pattern.
 
 Everything here works from those definitions alone: validity, reduction,
 containment, the set of digits that can legally extend a sequence without
-creating a forbidden pattern, and depth-first enumeration/counting of the
-avoidance class of a pattern set.  All of these run on one incremental
-dynamic program over pattern prefixes (partial assignments of sequence
-values to pattern values), extended one digit at a time; the digits that
-would complete a pattern form one bitmask.  A naive scan over all index
-subsequences is kept as the test oracle.
+creating a forbidden pattern, and one depth-first walk of the avoidance
+class of a pattern set from the empty word.  The walk counts the avoiders
+of every length up to a depth and hands each shorter avoider, with its
+appendable digits, to an optional visitor; enumeration is such a visitor.
+All of these run on one incremental dynamic program over pattern prefixes
+(partial assignments of sequence values to pattern values), extended one
+digit at a time; the digits that would complete a pattern form one
+bitmask.  A naive scan over all index subsequences is kept as the test
+oracle.
 """
 
 from __future__ import annotations
@@ -249,73 +252,48 @@ def valid_append_set(
 
 
 # ---------------------------------------------------------------------------
-# Depth-first enumeration: one tracker per pattern follows the current
-# sequence, and rec gets the node's forbid mask from its parent: the parent's
-# mask with the trackers' completes() for the node's last digit.  A node's
-# appendable digits are the digits up to asc + 1 that its mask leaves free.
-# The last words whose appendable digits the walk reads (length n_max - 1
-# when counting or enumerating, n_max when visiting) are neither pushed nor
-# passed to rec, as a call per word costs more than the loop body: their
-# parent reads their masks in its kid loop, so counting takes a popcount and
-# listing reads the set bits.
+# Depth-first walk from the empty word: one tracker per pattern follows the
+# current word, and rec gets the word's forbid mask from its parent: the
+# parent's mask with the trackers' completes() for the word's last digit.
+# A word's appendable digits are the digits up to asc + 1 that its mask
+# leaves free; the empty word has asc = -1 and a last digit of -1, so its
+# one kid is (0,), whose 0 counts as an ascent.  Words of length n_max - 1
+# are neither pushed nor passed to rec, as a call per word costs more than
+# the loop body: their parent reads their masks in its kid loop.
 # ---------------------------------------------------------------------------
 
 
 def _walk(
     n_max: int,
     patterns: tuple[Word, ...],
-    want_length: int | None,
     visit: Callable[[Word, Word], None] | None = None,
-):
+) -> list[int]:
     """DFS over the avoidance class up to length n_max.
 
-    Returns (counts, collected): counts[n] is the number of avoiders of
-    length n; collected holds the avoiders of length want_length in
-    lexicographic order (empty when want_length is None).  When visit is
-    given it is called as visit(seq, appendable) for every avoider of length
-    at most n_max, in lexicographic order; the walk then also reaches the
-    avoiders of length n_max, to read their appendable digits.
-
-    The word (0,) and every word shorter than reach - 1 is pushed onto the
-    trackers.  Any other word of length reach - 1 is never pushed nor passed
-    to rec: its parent reads its appendable digits off its mask.
+    Returns counts: counts[n] is the number of avoiders of length n.  When
+    visit is given it is called as visit(seq, appendable) for every avoider
+    shorter than n_max, the empty word first, in lexicographic order.
     """
     counts = [0] * (n_max + 1)
-    collected: list[Word] = []
-    if n_max < 1:
-        return counts, collected
-    if any(len(p) == 1 for p in patterns):
-        return counts, collected  # the single-value pattern occurs in every word
-    # longest word whose digits the trackers must see
-    reach = n_max if visit is None else n_max + 1
-    trackers = [_PatternTracker(p, reach - 1) for p in patterns if len(p) <= reach]
-    seq = [0]
-    forbid = 0
-    for t in trackers:
-        forbid |= t.completes(0)
-        t.push(0)
-    counts[1] = 1
-    if want_length == 1:
-        collected.append((0,))
+    if n_max < 1 or any(len(p) == 1 for p in patterns):
+        return counts  # a single-value pattern occurs in every nonempty word: no visit
+    trackers = [_PatternTracker(p, n_max - 1) for p in patterns if len(p) <= n_max]
+    seq: list[int] = []
 
     def rec(depth: int, asc: int, forbid: int) -> None:
         kids = [d for d in range(asc + 2) if not forbid >> d & 1]
         if visit is not None:
             visit(tuple(seq), tuple(kids))
-            if depth == n_max:
-                return
         counts[depth + 1] += len(kids)
-        if want_length == depth + 1:
-            collected.extend(tuple(seq) + (d,) for d in kids)
-        if depth + 2 > reach:
-            return
-        last = seq[-1]
+        if depth + 1 == n_max:
+            return  # n_max = 1: the empty word's kids are the longest words
+        last = seq[-1] if depth else -1
         for d in kids:
             child = forbid
             for t in trackers:
                 child |= t.completes(d)
             kid_asc = asc + 1 if d > last else asc
-            if depth + 2 < reach:
+            if depth + 2 < n_max:
                 trails = [t.push(d) for t in trackers]
                 seq.append(d)
                 rec(depth + 1, kid_asc, child)
@@ -325,17 +303,12 @@ def _walk(
                 continue
             top = kid_asc + 1
             leaf = ~child & ((2 << top) - 1)
+            counts[n_max] += leaf.bit_count()
             if visit is not None:
-                visit((*seq, d), tuple(x for x in range(top + 1) if leaf >> x & 1))
-            else:
-                counts[depth + 2] += leaf.bit_count()
-                if want_length == depth + 2:
-                    word = (*seq, d)
-                    collected.extend(word + (x,) for x in range(top + 1) if leaf >> x & 1)
+                visit((*seq, d), tuple([x for x in range(top + 1) if leaf >> x & 1]))
 
-    if reach > 1:
-        rec(1, 0, forbid)
-    return counts, collected
+    rec(0, -1, 0)
+    return counts
 
 
 # counts of the most recently counted pattern sets, least recent first
@@ -347,11 +320,14 @@ def enumerate_avoiders(
     n: int, patterns: Iterable[Sequence[int]]
 ) -> list[Word]:
     """All avoiders of length n, in lexicographic order."""
-    if n < 1:
-        return []
-    B = _normalize_patterns(patterns)
-    _, collected = _walk(n, B, want_length=n)
-    return collected
+    words: list[Word] = []
+
+    def collect(seq: Word, appendable: Word) -> None:
+        if len(seq) == n - 1:
+            words.extend(seq + (d,) for d in appendable)
+
+    _walk(n, _normalize_patterns(patterns), collect)
+    return words
 
 
 def count_avoiders(n_max: int, patterns: Iterable[Sequence[int]]) -> list[int]:
@@ -365,8 +341,7 @@ def count_avoiders(n_max: int, patterns: Iterable[Sequence[int]]) -> list[int]:
     B = _normalize_patterns(patterns)
     cached = _COUNT_CACHE.pop(B, None)
     if cached is None or len(cached) < n_max:
-        counts, _ = _walk(n_max, B, want_length=None)
-        cached = counts[1:]
+        cached = _walk(n_max, B)[1:]
     _COUNT_CACHE[B] = cached
     if len(_COUNT_CACHE) > _COUNT_CACHE_SIZE:
         del _COUNT_CACHE[next(iter(_COUNT_CACHE))]
@@ -381,7 +356,12 @@ def visit_avoiders(
     """Call visit(seq, appendable) for every avoider of length at most n_max,
     in lexicographic order (a parent before its children); appendable is
     valid_append_set(seq, patterns), read off the walk at no extra cost."""
-    _walk(n_max, _normalize_patterns(patterns), None, visit)
+
+    def nonempty(seq: Word, appendable: Word) -> None:
+        if seq:
+            visit(seq, appendable)
+
+    _walk(n_max + 1, _normalize_patterns(patterns), nonempty)
 
 
 # ---------------------------------------------------------------------------

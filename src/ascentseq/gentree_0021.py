@@ -142,12 +142,12 @@ def _classify_level(
             g1[(q, r)] = g1.get((q, r), 0) + count
         else:
             g2.append((q, count))
-    if g2 != [(n + 1, 1)]:
+    if len(g2) != 1 or g2[0][1] != 1:
         raise ValueError(
-            f"level {n}: expected one (q-2, q, 0) node with q = {n + 1}, "
+            f"level {n}: expected one (q-2, q, 0) node with count 1, "
             f"got (q, count) {g2}"
         )
-    return TripleLevelTables(n, g0, g1, n + 1)
+    return TripleLevelTables(n, g0, g1, g2[0][0])
 
 
 def simulate_0021_levels(n_max: int) -> list[TripleLevelTables]:
@@ -169,11 +169,11 @@ def simulate_0021_levels(n_max: int) -> list[TripleLevelTables]:
 def triple_recurrence_levels(n_max: int) -> list[TripleLevelTables]:
     """Classified label counts computed bottom-up from the recurrences.
 
-    Case order follows the recurrences as stated: zero guards first, then
-    the boundary ones on q + r = n, then the two-level sums.  Empty sums
-    are zero.  The g1 sums are suffix sums along each antidiagonal
-    q + r = s of the level below and the g0 sums suffix sums along each of
-    its rows, so a level costs O(n^2).
+    Case order follows the recurrences as stated: the boundary ones on
+    q + r = n first, then the two-level sums.  Empty sums are zero.  The g1
+    sums are suffix sums along each antidiagonal q + r = s of the level
+    below and the g0 sums suffix sums along each of its rows, so a level
+    costs O(n^2).
     """
     if n_max < 1:
         return []
@@ -193,10 +193,6 @@ def triple_recurrence_levels(n_max: int) -> list[TripleLevelTables]:
         g1: dict[tuple[int, int], int] = {}
         for q in range(1, n + 1):
             for r in range(0, n - q + 1):
-                if q == n and r == 0:
-                    continue
-                if n == q == r == 1:
-                    continue
                 if q + r == n and r > 0:
                     g1[(q, r)] = 1
                 elif q + r < n:
@@ -214,7 +210,7 @@ def triple_recurrence_levels(n_max: int) -> list[TripleLevelTables]:
                     acc += prev0((q, r), 0) + prev1((q, r - 1), 0)
                     row[r] = acc
                 for r in range(2, n - q + 1):
-                    if q + r == n and n >= q + 2:
+                    if q + r == n:
                         g0[(q, r)] = 1
                     elif q + r < n:
                         val = prev0((q, r), 0) + row[r]

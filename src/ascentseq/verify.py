@@ -509,10 +509,12 @@ def crosscheck_0021(
     _add(records, "t0021.relations.row_shift", f"n<={recur_max}", bad,
          "each level array is the previous one pushed down one row")
 
+    # the simulated levels report the q they found, the recurrence its own
     bad = [
-        (n, recur[n - 1].g2_q)
-        for n in range(1, recur_max + 1)
-        if recur[n - 1].g2_q != n + 1
+        (source, t.n, t.g2_q)
+        for source, levels in (("simulation", sim), ("recurrence", recur[:recur_max]))
+        for t in levels
+        if t.g2_q != t.n + 1
     ]
     _add(records, "t0021.relations.single_increasing_node", f"n<={recur_max}", bad)
 

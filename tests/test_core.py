@@ -218,11 +218,27 @@ def test_count_cache_is_bounded_and_unaliased(monkeypatch):
 def test_count_with_no_patterns_gives_all_ascent_sequences():
     counts = core.count_avoiders(7, ())
     assert counts == [len(all_ascent_sequences(n)) for n in range(1, 8)]
+    upto = []  # every ascent sequence of length up to n
+    for n in range(1, 8):
+        assert core.enumerate_avoiders(n, ()) == all_ascent_sequences(n), n
+        upto += all_ascent_sequences(n)
+        visited = []
+
+        def visit(seq, appendable):
+            assert appendable == tuple(range(core.asc_count(seq) + 2)), seq
+            visited.append(seq)
+
+        core.visit_avoiders(n, (), visit)
+        assert visited == sorted(upto), n
 
 
 def test_single_value_pattern_kills_everything():
     assert core.count_avoiders(5, [(0,)]) == [0, 0, 0, 0, 0]
     assert core.enumerate_avoiders(3, [(0,)]) == []
+    assert core.enumerate_avoiders(1, [(0,)]) == []
+    visited = []
+    core.visit_avoiders(3, [(0,)], lambda seq, appendable: visited.append(seq))
+    assert visited == []
 
 
 def test_sequence_text_roundtrip():
@@ -258,7 +274,7 @@ RANDOM_PATTERN_SETS = [
 
 @pytest.mark.parametrize("text", RANDOM_PATTERN_SETS)
 def test_walk_matches_naive_oracle_on_random_pattern_sets(monkeypatch, text):
-    # at n = 1 and 2 the first word is the last one pushed; patterns of
+    # at n = 1 and 2 counting and enumerating push no word; patterns of
     # length 5 are longer than the shortest words
     monkeypatch.setattr(core, "_COUNT_CACHE", {})
     B = core.parse_patterns(text)
@@ -312,3 +328,23 @@ def test_visit_reads_valid_append_set_to_8(B):
 
     core.visit_avoiders(8, B, visit)
     assert seen[1:] == [1, 2, 5, 15, 51, 188, 731, 2950]
+
+
+def test_walk_pushes_only_the_words_it_descends_below(monkeypatch):
+    # the words of length n - 1 are read off their parents' masks: a walk
+    # to n pushes each avoider of length 1..n-2 once per tracker
+    real = core._PatternTracker.push
+    pushes = [0]
+
+    def push(self, d):
+        pushes[0] += 1
+        return real(self, d)
+
+    monkeypatch.setattr(core._PatternTracker, "push", push)
+    monkeypatch.setattr(core, "_COUNT_CACHE", {})
+    for B in CLASSES:
+        for n in range(1, 9):
+            pushes[0] = 0
+            counts = core.count_avoiders(n, B)
+            trackers = sum(len(p) <= n for p in B)
+            assert pushes[0] == trackers * sum(counts[: n - 2]), (B, n)

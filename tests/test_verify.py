@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import io
 import json
 from contextlib import redirect_stdout
@@ -117,6 +118,21 @@ def test_wrong_0021_rule_fails_rule_vs_definition(monkeypatch):
     )
 
 
+def test_wrong_simulated_increasing_node_fails_its_record(monkeypatch):
+    real = gt.simulate_0021_levels
+
+    def wrong(n_max):
+        levels = real(n_max)
+        levels[3] = dataclasses.replace(levels[3], g2_q=levels[3].g2_q + 1)
+        return levels
+
+    monkeypatch.setattr(gt, "simulate_0021_levels", wrong)
+    report = verify.crosscheck_0021(n_max=6, gf_order=12)
+    rec = _record(report, "t0021.relations.single_increasing_node")
+    assert not rec.passed
+    assert rec.detail == "first counterexample: ('simulation', 4, 6)"
+
+
 def _perturb(monkeypatch, gf, exps, c):
     """Add the term c * exps to the closed form gf wherever verify builds it."""
     real = verify.build_closed_form
@@ -193,10 +209,10 @@ def test_verify_all_walks_0021_once(monkeypatch):
     real = core._walk
     walks = []
 
-    def counted(n_max, patterns, want_length, visit=None):
+    def counted(n_max, patterns, visit=None):
         if visit is None:
             walks.append(patterns)
-        return real(n_max, patterns, want_length, visit)
+        return real(n_max, patterns, visit)
 
     monkeypatch.setattr(core, "_COUNT_CACHE", {})
     monkeypatch.setattr(core, "_walk", counted)
