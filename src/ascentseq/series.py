@@ -16,10 +16,11 @@ counts: the column and diagonal generating functions of the pair tree,
 the g0/g1 generating functions of the 0021 tree, the class totals, and
 the two one-variable series f and g tied to the column structure of the
 g0 arrays.  All of them are rational expressions over the one univariate
-radical sqrt(5t^2 - 6t + 1), t being y or z.  The radical is expanded
-once as a one-variable series by Newton iteration and, for the
-multivariate forms, lifted into the ring of their variables; the rest is
-exact multiplication and inversion.
+radical sqrt(5t^2 - 6t + 1), t being y or z.  Its coefficients are
+integers read off the three-term recurrence
+n s_n = (6n - 9) s_{n-1} - (5n - 15) s_{n-2}, s_0 = 1, s_1 = -3; for the
+multivariate forms the one-variable series is lifted into the ring of
+their variables, and the rest is exact multiplication and inversion.
 `residual` substitutes the closed forms into the functional equations
 they are supposed to solve, with denominators cleared to polynomial
 form, and returns what should be the zero series.
@@ -35,7 +36,6 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
-    "InexactDivisionError",
     "MSeries",
     "catalan",
     "binom",
@@ -47,10 +47,6 @@ __all__ = [
 ]
 
 F0 = Fraction(0)
-
-
-class InexactDivisionError(ArithmeticError):
-    """Division that should be exact left a remainder."""
 
 
 def _over_common(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -117,14 +113,6 @@ class MSeries:
         self.terms = clean
 
     @classmethod
-    def poly(cls, variables: Sequence[str], order: int, terms: Mapping[Exp, int | Fraction]) -> "MSeries":
-        return cls(variables, order, terms)
-
-    @classmethod
-    def zero(cls, variables: Sequence[str], order: int) -> "MSeries":
-        return cls(variables, order, {})
-
-    @classmethod
     def one(cls, variables: Sequence[str], order: int) -> "MSeries":
         return cls(variables, order, {(0,) * len(tuple(variables)): 1})
 
@@ -180,12 +168,6 @@ class MSeries:
 
     def __neg__(self) -> "MSeries":
         return self._wrap({e: -c for e, c in self.terms.items()})
-
-    def scale(self, c) -> "MSeries":
-        c = Fraction(c)
-        if not c:
-            return MSeries.zero(self.vars, self.order)
-        return self._wrap({e: c * v for e, v in self.terms.items()})
 
     def _wrap(self, terms: dict[Exp, Fraction]) -> "MSeries":
         out = MSeries.__new__(MSeries)
@@ -243,37 +225,6 @@ class MSeries:
                 for u, kb, cb in b[:cut]:
                     above[u][kq + kb] += cb * cq
         return self._wrap(out)
-
-    def sqrt_unit(self) -> "MSeries":
-        """Square root with constant term 1, by Newton iteration.
-
-        Starts from the constant series 1 and doubles the trusted order
-        each step via s <- (s + a/s) / 2.
-        """
-        if self.terms.get((0,) * len(self.vars)) != 1:
-            raise ValueError("sqrt requires constant term 1")
-        s = MSeries.one(self.vars, 0)
-        m = 0
-        while m < self.order:
-            m = min(2 * m + 1, self.order)
-            s_ext = MSeries(self.vars, m, s.terms)
-            s = (s_ext + self.truncate(m) * s_ext.invert_unit()).scale(Fraction(1, 2))
-        return s
-
-    def shift_down(self, k: int) -> "MSeries":
-        """Divide a one-variable series by var**k; the k lowest coefficients
-        must vanish."""
-        if len(self.vars) != 1:
-            raise ValueError("shift_down needs a one-variable series")
-        if k < 0:
-            raise ValueError("negative shift")
-        if any(e < k for (e,) in self.terms):
-            raise InexactDivisionError(
-                f"nonzero coefficient below {self.vars[0]}^{k}; cannot shift down"
-            )
-        return MSeries(
-            self.vars, self.order - k, {(e - k,): c for (e,), c in self.terms.items()}
-        )
 
     def substitute(self, var: str, value: Union[int, str]) -> "MSeries":
         """Set a variable to 1, or rename it onto another variable.
@@ -369,9 +320,24 @@ def _poly1(var: str, order: int, terms: Mapping[int, int]) -> MSeries:
     return MSeries((var,), order, {(k,): c for k, c in terms.items()})
 
 
+def _radical(order: int) -> list[int]:
+    """The coefficients s_0..s_order of s = sqrt(1 - 6t + 5t^2).
+
+    Squaring gives 2 s s' = -6 + 10t, so (1 - 6t + 5t^2) s' = (-3 + 5t) s,
+    and the coefficient of t^(n-1) reads
+    n s_n = (6n - 9) s_{n-1} - (5n - 15) s_{n-2}.  The division by n is
+    exact: s = 1 - t - 2t f, where f = 1 - t + t f + t f^2 has integer
+    coefficients.
+    """
+    s = [1, -3]
+    for n in range(2, order + 1):
+        s.append(((6 * n - 9) * s[-1] - (5 * n - 15) * s[-2]) // n)
+    return s[: order + 1]
+
+
 def _radical_u(var: str, order: int) -> MSeries:
     """sqrt(5 t^2 - 6 t + 1) as a one-variable series."""
-    return _poly1(var, order, {0: 1, 1: -6, 2: 5}).sqrt_unit()
+    return _poly1(var, order, dict(enumerate(_radical(order))))
 
 
 def _lift(u: MSeries, variables: Sequence[str], var: str) -> MSeries:
@@ -399,40 +365,40 @@ def _build_c2(order: int) -> MSeries:
 
 
 def _build_f(order: int) -> MSeries:
-    rad = _radical_u("z", order + 1)
-    num = _poly1("z", order + 1, {0: 1, 1: -1}) - rad
-    return num.shift_down(1).scale(Fraction(1, 2))
+    # f = (1 - z - rad) / (2z), so f_{k-1} = (-[k=1] - s_k) / 2
+    s = _radical(order + 1)
+    f = {k - 1: Fraction(-(k == 1) - s[k], 2) for k in range(1, order + 2)}
+    return _poly1("z", order, f)
 
 
 def _build_g(order: int) -> MSeries:
-    # the last factor of den is -2 z^2 + O(z^3), so den has valuation 2:
-    # build two orders deeper and cancel z^2 from num and den
-    n = order + 2
-    rad = _radical_u("z", n)
-    one_minus = _poly1("z", n, {0: 1, 1: -1}) + rad
-    other = _poly1("z", n, {0: -1, 1: 3}) + rad
+    # the last factor of the denominator, -1 + 3z + rad, is z^2 (s_2 + s_3 z
+    # + ...); it cancels the z^2 of the numerator -16 z^2 (1 - z)
+    s = _radical(order + 2)
+    rad = _poly1("z", order, dict(enumerate(s)))
+    one_minus = _poly1("z", order, {0: 1, 1: -1}) + rad
+    other = _poly1("z", order, dict(enumerate(s[2:])))
     den = one_minus * one_minus * one_minus * other
-    num = _poly1("z", n, {2: -16, 3: 16})
-    return num.shift_down(2) * den.shift_down(2).invert_unit()
+    return _poly1("z", order, {0: -16, 1: 16}) * den.invert_unit()
 
 
 def _build_c_pair(order: int) -> MSeries:
     vs = ("x", "y")
     rad = _lift(_radical_u("y", order), vs, "y")
     num = (
-        rad * MSeries.poly(vs, order, {(1, 0): 1})
-        + MSeries.poly(vs, order, {(1, 1): -1, (1, 0): 1, (0, 1): 2, (0, 0): -2})
-    ) * MSeries.poly(vs, order, {(1, 1): 1})
-    den = MSeries.poly(
+        rad * MSeries(vs, order, {(1, 0): 1})
+        + MSeries(vs, order, {(1, 1): -1, (1, 0): 1, (0, 1): 2, (0, 0): -2})
+    ) * MSeries(vs, order, {(1, 1): 1})
+    den = MSeries(
         vs, order, {(2, 1): 2, (1, 1): 2, (1, 0): -2, (0, 1): -2, (0, 0): 2}
-    ) * MSeries.poly(vs, order, {(0, 1): 1, (0, 0): -1})
+    ) * MSeries(vs, order, {(0, 1): 1, (0, 0): -1})
     return num * den.invert_unit()
 
 
 def _build_d_pair(order: int) -> MSeries:
     vs = ("x", "y")
     rad = _lift(_radical_u("y", order), vs, "y")
-    inner = rad * MSeries.poly(vs, order, {(2, 1): 1}) + MSeries.poly(
+    inner = rad * MSeries(vs, order, {(2, 1): 1}) + MSeries(
         vs,
         order,
         {
@@ -446,8 +412,8 @@ def _build_d_pair(order: int) -> MSeries:
             (0, 0): -2,
         },
     )
-    num = (-inner) * MSeries.poly(vs, order, {(1, 1): 1})
-    den = MSeries.poly(
+    num = (-inner) * MSeries(vs, order, {(1, 1): 1})
+    den = MSeries(
         vs,
         order,
         {
@@ -460,7 +426,7 @@ def _build_d_pair(order: int) -> MSeries:
             (0, 1): 4,
             (0, 0): -2,
         },
-    ) * MSeries.poly(vs, order, {(0, 1): 1, (0, 0): -1})
+    ) * MSeries(vs, order, {(0, 1): 1, (0, 0): -1})
     return num * den.invert_unit()
 
 
@@ -468,24 +434,22 @@ def _build_c_0021(order: int) -> MSeries:
     vs = ("x", "y", "z")
     rad = _lift(_radical_u("z", order), vs, "z")
     w = (
-        MSeries.poly(vs, order, {(0, 0, 0): 1, (0, 0, 1): -1, (0, 1, 1): -1}) * rad
-        + MSeries.poly(vs, order, {(0, 0, 0): 1, (0, 0, 1): -3, (0, 1, 1): -1})
-        * MSeries.poly(vs, order, {(0, 0, 0): 1, (0, 0, 1): -1})
+        MSeries(vs, order, {(0, 0, 0): 1, (0, 0, 1): -1, (0, 1, 1): -1}) * rad
+        + MSeries(vs, order, {(0, 0, 0): 1, (0, 0, 1): -3, (0, 1, 1): -1})
+        * MSeries(vs, order, {(0, 0, 0): 1, (0, 0, 1): -1})
     )
-    geo_xz = MSeries.poly(vs, order, {(0, 0, 0): 1, (1, 0, 1): -1}).invert_unit()
-    return (
-        MSeries.poly(vs, order, {(1, 2, 3): 2}) * geo_xz * w.invert_unit()
-    )
+    geo_xz = MSeries(vs, order, {(0, 0, 0): 1, (1, 0, 1): -1}).invert_unit()
+    return MSeries(vs, order, {(1, 2, 3): 2}) * geo_xz * w.invert_unit()
 
 
 def _build_d_0021(order: int) -> MSeries:
     vs = ("x", "y", "z")
     rad = _lift(_radical_u("z", order), vs, "z")
-    w = rad * MSeries.poly(vs, order, {(0, 1, 0): 1}) + MSeries.poly(
+    w = rad * MSeries(vs, order, {(0, 1, 0): 1}) + MSeries(
         vs, order, {(0, 1, 1): 1, (0, 0, 1): -2, (0, 1, 0): -1, (0, 0, 0): 2}
     )
-    geo_xz = MSeries.poly(vs, order, {(0, 0, 0): 1, (1, 0, 1): -1}).invert_unit()
-    return MSeries.poly(vs, order, {(1, 1, 2): 2}) * geo_xz * w.invert_unit()
+    geo_xz = MSeries(vs, order, {(0, 0, 0): 1, (1, 0, 1): -1}).invert_unit()
+    return MSeries(vs, order, {(1, 1, 2): 2}) * geo_xz * w.invert_unit()
 
 
 _BUILDERS = {
@@ -525,21 +489,21 @@ def _residual_pair(which: str, order: int) -> MSeries:
     vs = ("x", "y")
     C = _build_c_pair(order)
     D = _build_d_pair(order)
-    one_minus_y = MSeries.poly(vs, order, {(0, 0): 1, (0, 1): -1})
+    one_minus_y = MSeries(vs, order, {(0, 0): 1, (0, 1): -1})
     if which == "pair_c":
         # (1-x)(1-y) C + x(1-y) D = xy + x^2 (1-y) C2, both sides times (1-y)
         c2_m = _lift(_build_c2(order), vs, "y")
         lhs = (
-            MSeries.poly(vs, order, {(0, 0): 1, (1, 0): -1}) * one_minus_y * C
-            + MSeries.poly(vs, order, {(1, 0): 1}) * one_minus_y * D
+            MSeries(vs, order, {(0, 0): 1, (1, 0): -1}) * one_minus_y * C
+            + MSeries(vs, order, {(1, 0): 1}) * one_minus_y * D
         )
-        rhs = MSeries.poly(vs, order, {(1, 1): 1}) + (
-            MSeries.poly(vs, order, {(2, 0): 1}) * one_minus_y * c2_m
+        rhs = MSeries(vs, order, {(1, 1): 1}) + (
+            MSeries(vs, order, {(2, 0): 1}) * one_minus_y * c2_m
         )
         return lhs - rhs
     # (1-y) D - xy C = xy, times (1-y)
-    lhs = one_minus_y * (one_minus_y * D - MSeries.poly(vs, order, {(1, 1): 1}) * C)
-    rhs = one_minus_y * MSeries.poly(vs, order, {(1, 1): 1})
+    lhs = one_minus_y * (one_minus_y * D - MSeries(vs, order, {(1, 1): 1}) * C)
+    rhs = one_minus_y * MSeries(vs, order, {(1, 1): 1})
     return lhs - rhs
 
 
@@ -554,7 +518,7 @@ def _residual_0021_c(order: int) -> MSeries:
     D1 = D_full.substitute("y", 1).truncate(order)
 
     def poly(t):
-        return MSeries.poly(vs, order, t)
+        return MSeries(vs, order, t)
 
     geo_z = poly({(0, 0, 0): 1, (0, 0, 1): -1}).invert_unit()
     geo_yz = poly({(0, 0, 0): 1, (0, 1, 1): -1}).invert_unit()
@@ -584,7 +548,7 @@ def _residual_0021_d(order: int) -> MSeries:
     Dyy = D.substitute("x", "y")
 
     def poly(t):
-        return MSeries.poly(vs, order, t)
+        return MSeries(vs, order, t)
 
     geo_yz = poly({(0, 0, 0): 1, (0, 1, 1): -1}).invert_unit()
     geo_xz = poly({(0, 0, 0): 1, (1, 0, 1): -1}).invert_unit()

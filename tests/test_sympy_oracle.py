@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ascentseq.series import GF_NAMES, build_closed_form
+from ascentseq.series import GF_NAMES, _radical, build_closed_form
 
 sp = pytest.importorskip("sympy")
 
@@ -82,3 +82,8 @@ def test_closed_form_matches_sympy(name):
     want = sympy_terms(expr, variables, order)
     assert want
     assert build_closed_form(name, order).terms == want
+
+
+def test_radical_matches_sympy():
+    want = sp.Poly(sp.series(rad(z), z, 0, 41).removeO(), z).all_coeffs()[::-1]
+    assert _radical(40) == [int(c) for c in want]

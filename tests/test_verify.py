@@ -140,7 +140,7 @@ def _perturb(monkeypatch, gf, exps, c):
     def perturbed(which, order):
         series = real(which, order)
         if which == gf:
-            series = series + verify.MSeries.poly(series.vars, order, {exps: c})
+            series = series + verify.MSeries(series.vars, order, {exps: c})
         return series
 
     monkeypatch.setattr(verify, "build_closed_form", perturbed)
