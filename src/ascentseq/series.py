@@ -487,12 +487,12 @@ def build_closed_form(which: str, order: int):
 
 def _residual_pair(which: str, order: int) -> MSeries:
     vs = ("x", "y")
-    C = _build_c_pair(order)
-    D = _build_d_pair(order)
+    C = _BUILDERS["C_pair"](order)
+    D = _BUILDERS["D_pair"](order)
     one_minus_y = MSeries(vs, order, {(0, 0): 1, (0, 1): -1})
     if which == "pair_c":
         # (1-x)(1-y) C + x(1-y) D = xy + x^2 (1-y) C2, both sides times (1-y)
-        c2_m = _lift(_build_c2(order), vs, "y")
+        c2_m = _lift(_BUILDERS["C2"](order), vs, "y")
         lhs = (
             MSeries(vs, order, {(0, 0): 1, (1, 0): -1}) * one_minus_y * C
             + MSeries(vs, order, {(1, 0): 1}) * one_minus_y * D
@@ -510,8 +510,8 @@ def _residual_pair(which: str, order: int) -> MSeries:
 def _residual_0021_c(order: int) -> MSeries:
     vs = ("x", "y", "z")
     full = 2 * order  # substitution at y=1 folds degrees down; build deep enough
-    C_full = _build_c_0021(full)
-    D_full = _build_d_0021(full)
+    C_full = _BUILDERS["C_0021"](full)
+    D_full = _BUILDERS["D_0021"](full)
     C = C_full.truncate(order)
     D = D_full.truncate(order)
     C1 = C_full.substitute("y", 1).truncate(order)
@@ -542,8 +542,8 @@ def _residual_0021_c(order: int) -> MSeries:
 
 def _residual_0021_d(order: int) -> MSeries:
     vs = ("x", "y", "z")
-    C = _build_c_0021(order)
-    D = _build_d_0021(order)
+    C = _BUILDERS["C_0021"](order)
+    D = _BUILDERS["D_0021"](order)
     Cyy = C.substitute("x", "y")
     Dyy = D.substitute("x", "y")
 

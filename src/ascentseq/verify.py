@@ -26,7 +26,7 @@ every other depth follows from them:
 - 0021 columns: n <= max(n_max, 20, gf_order // 2);
 - residuals: order <= min(gf_order, 30) for the pair, min(gf_order, 25)
   for 0021;
-- total vs formula: n <= 40;
+- total vs formula, both trees: the constant term is 0 and n <= 40;
 - rule vs definition: n <= oracle_max.
 """
 
@@ -136,6 +136,13 @@ def _add(records: list[CheckRecord], check_id: str, scope: str, failures: list, 
         )
     else:
         records.append(CheckRecord(check_id, scope, "pass", note))
+
+
+def _mismatches(ns, *seqs) -> list[tuple]:
+    """(n, each sequence's value at n) for every n in ns where the sequences,
+    functions of n, disagree."""
+    rows = ((n, *(seq(n) for seq in seqs)) for n in ns)
+    return [row for row in rows if any(v != row[1] for v in row[2:])]
 
 
 def _rule_vs_definition(records, spec: _ClassSpec, oracle_max) -> None:
@@ -281,6 +288,7 @@ class _ClassSpec:
     residual_cap: int = 0  # residual order: min(gf_order, cap)
     cd_gf: tuple[str, ...] = ()  # the C and D closed forms of the tree
     cells: Callable | None = None  # level -> its C and D cells by exponent
+    total_note: str = ""  # detail of the passing total_vs_formula record
 
 
 def _pair_cells(cd: gpair.CDTable) -> tuple[dict, dict]:
@@ -314,6 +322,7 @@ _T0021 = _ClassSpec(
     cd_gf=("C_0021", "D_0021"),
     # g0 and g1 of the level, keyed (q, r, n)
     cells=lambda t: tuple({(*k, t.n): v for k, v in g.items()} for g in (t.g0, t.g1)),
+    total_note="matches the pair-class closed form coefficientwise",
 )
 # no generating tree is known for 1012; the class shares the 0021 total
 _C1012 = _ClassSpec("1012", ((1, 0, 1, 2),), None, None, None, None, "total_0021")
@@ -328,11 +337,11 @@ def _tree_records(spec: _ClassSpec, records, n_max, gf_order, oracle_max):
 
     Checks the depths and writes the pentagon (brute force, simulation,
     recurrence and formula agree on the counts), recurrence-vs-formula,
-    rule-vs-definition, residual and gf-coefficient records.  The last
-    compares every term of the C and D closed forms up to level
-    gf_order // 2 with the cells spec.cells reads off that level of
-    the recurrence, so a wrong value, a term off the support and a term at
-    level 0 all fail it.  Returns the recurrence depth recur_max, the
+    rule-vs-definition, residual, total-vs-formula and gf-coefficient
+    records.  The last compares every term of the C and D closed forms up
+    to level gf_order // 2 with the cells spec.cells reads off that level
+    of the recurrence, so a wrong value, a term off the support and a term
+    at level 0 all fail it.  Returns the recurrence depth recur_max, the
     simulated and the recurrence levels, and the C and D closed forms.
     """
     if n_max < 1:
@@ -352,18 +361,12 @@ def _tree_records(spec: _ClassSpec, records, n_max, gf_order, oracle_max):
     recur = spec.recurrence(max(recur_max, gf_order // 2))
 
     brute = count_avoiders(n_max, spec.patterns)
-    bad = [
-        (n, brute[n - 1], sim[n - 1].total(), recur[n - 1].total(), a007317(n))
-        for n in range(1, n_max + 1)
-        if not brute[n - 1] == sim[n - 1].total() == recur[n - 1].total() == a007317(n)
-    ]
+    bad = _mismatches(range(1, n_max + 1), lambda n: brute[n - 1],
+                      lambda n: sim[n - 1].total(), lambda n: recur[n - 1].total(),
+                      a007317)
     _add(records, f"{spec.name}.counts.pentagon", f"n<={n_max}", bad,
          f"counts {brute[:7]}...")
-    bad = [
-        (n, recur[n - 1].total(), a007317(n))
-        for n in range(1, recur_max + 1)
-        if recur[n - 1].total() != a007317(n)
-    ]
+    bad = _mismatches(range(1, recur_max + 1), lambda n: recur[n - 1].total(), a007317)
     _add(records, f"{spec.name}.counts.recurrence_vs_formula", f"n<={recur_max}", bad)
 
     _rule_vs_definition(records, spec, oracle_max)
@@ -390,6 +393,12 @@ def _tree_records(spec: _ClassSpec, records, n_max, gf_order, oracle_max):
         key=lambda b: (b[1][-1], b[0], b[1]),  # level, then side, then exponent
     )
     _add(records, f"{spec.name}.gf.coefficients", f"n<={depth}", bad)
+
+    total = build_closed_form(spec.total_gf, _TOTAL_MAX)
+    bad = _mismatches(range(_TOTAL_MAX + 1), lambda n: total.coeff((n,)),
+                      lambda n: a007317(n) if n else 0)
+    _add(records, f"{spec.name}.gf.total_vs_formula", f"n<={_TOTAL_MAX}", bad,
+         spec.total_note)
     return recur_max, sim, recur, C, D
 
 
@@ -429,22 +438,9 @@ def crosscheck_pair(
 
     depth = gf_order // 2
     diag = C.diagonal()
-    bad = [
-        (n, diag.coeff((n,))) for n in range(1, depth + 1) if diag.coeff((n,)) != 1
-    ]
-    if diag.coeff((0,)) != 0:
-        bad.insert(0, (0, diag.coeff((0,))))
+    bad = _mismatches(range(depth + 1), lambda n: diag.coeff((n,)),
+                      lambda n: int(n > 0))  # 0 at z^0, 1 on every level
     _add(records, "pair.gf.diagonal_ones", f"n<={depth}", bad)
-
-    total = build_closed_form(_PAIR.total_gf, _TOTAL_MAX)
-    bad = [
-        (n, total.coeff((n,)), a007317(n))
-        for n in range(1, _TOTAL_MAX + 1)
-        if total.coeff((n,)) != a007317(n)
-    ]
-    if total.coeff((0,)) != 0:
-        bad.insert(0, (0, total.coeff((0,)), 0))
-    _add(records, "pair.gf.total_vs_formula", f"n<={_TOTAL_MAX}", bad)
 
     return VerificationReport("pair", records).finalize()
 
@@ -519,28 +515,10 @@ def crosscheck_0021(
     _add(records, "t0021.relations.single_increasing_node", f"n<={recur_max}", bad)
 
     depth = gf_order // 2
-    c_tot = C.substitute("x", 1).substitute("y", 1)
-    d_tot = D.substitute("x", 1).substitute("y", 1)
-    bad = []
-    for n in range(1, depth + 1):
-        zexp = (0, 0, n)
-        total_n = c_tot.coeff(zexp) + d_tot.coeff(zexp) + 1
-        if total_n != a007317(n):
-            bad.append((n, total_n, a007317(n)))
+    tot = (C + D).substitute("x", 1).substitute("y", 1)
+    bad = _mismatches(range(1, depth + 1), lambda n: tot.coeff((0, 0, n)) + 1, a007317)
     _add(records, "t0021.gf.level_totals", f"n<={depth}", bad,
          "g0 + g1 sums plus the single increasing node")
-
-    # total_0021 and C_total_pair are one formula, in z and in y, so their
-    # coefficients agree by construction and the note holds whenever this
-    # record passes; only the comparison with a007317 can fail
-    total = build_closed_form(_T0021.total_gf, _TOTAL_MAX)
-    bad = [
-        (n, total.coeff((n,)), a007317(n))
-        for n in range(1, _TOTAL_MAX + 1)
-        if total.coeff((n,)) != a007317(n)
-    ]
-    _add(records, "t0021.gf.total_vs_formula", f"n<={_TOTAL_MAX}", bad,
-         "matches the pair-class closed form coefficientwise")
 
     # Column structure of the g0 arrays.  Alignment: with T_r(z) defined as
     # sum_n g0(n, 1, r) z^n (top-row entries across levels, which by the
@@ -556,11 +534,8 @@ def crosscheck_0021(
         * MSeries(zs, depth_cols, {(2,): 1})
     )
     t2 = _column_series(recur, 2)
-    bad = [
-        (n, t2.coeff((n,)), first_expected.coeff((n,)))
-        for n in range(depth_cols + 1)
-        if t2.coeff((n,)) != first_expected.coeff((n,))
-    ]
+    bad = _mismatches(range(depth_cols + 1), lambda n: t2.coeff((n,)),
+                      lambda n: first_expected.coeff((n,)))
     _add(
         records,
         "t0021.columns.first_vs_f",
@@ -605,17 +580,10 @@ def wilf_equivalence_check(n_max: int = 11) -> VerificationReport:
     records: list[CheckRecord] = []
     counts_0021 = count_avoiders(n_max, _T0021.patterns)
     counts_1012 = count_avoiders(n_max, _C1012.patterns)
-    bad = [
-        (n, counts_0021[n - 1], counts_1012[n - 1])
-        for n in range(1, n_max + 1)
-        if counts_0021[n - 1] != counts_1012[n - 1]
-    ]
+    ns = range(1, n_max + 1)
+    bad = _mismatches(ns, lambda n: counts_0021[n - 1], lambda n: counts_1012[n - 1])
     _add(records, "wilf.counts.equal", f"n<={n_max}", bad,
          f"both reach {counts_0021[-1]} at n={n_max}")
-    bad = [
-        (n, counts_0021[n - 1], a007317(n))
-        for n in range(1, n_max + 1)
-        if counts_0021[n - 1] != a007317(n)
-    ]
+    bad = _mismatches(ns, lambda n: counts_0021[n - 1], a007317)
     _add(records, "wilf.counts.formula", f"n<={n_max}", bad)
     return VerificationReport("wilf", records).finalize()
