@@ -107,14 +107,18 @@ def _normalize_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Word, ...]:
 # equal pm[p[j]] if that value is already assigned, and otherwise must lie
 # strictly between the nearest assigned values below and above p[j].
 #
-# A tracker keeps the partial matches of its pattern with 1..k-2 positions
+# A tracker keeps the partial matches of its pattern with 1..k-3 positions
 # filled against the word pushed so far, bucketed by the digit each would
-# consume next.  Matches with k-1 positions filled are not stored: the caller
-# keeps the union of their windows, the digits that complete the pattern, as
-# one bitmask called forbid.  Partial matches only grow with the word (old
-# subsequences stay subsequences), so forbid only gains bits, and undo pops
-# what push appended.  completes(d) must be read before push(d): the matches
-# push(d) creates may not consume that same d.  Digits lie in 0..max_digit.
+# consume next.  Those with k-2 positions filled are not bucketed: for each
+# digit d, done[d] is a stack whose top is the OR of their closing masks for
+# d, the digits that complete the pattern once such a match has consumed d
+# (for k = 2, the base entry holds the empty match's mask).  Matches with k-1
+# positions filled are not stored either: the caller keeps the union of their
+# windows, the digits that complete the pattern, as one bitmask called
+# forbid.  Partial matches only grow with the word (old subsequences stay
+# subsequences), so forbid only gains bits, and undo pops what push appended.
+# completes(d) must be read before push(d): the matches push(d) creates may
+# not consume that same d.  Digits lie in 0..max_digit.
 # ---------------------------------------------------------------------------
 
 
@@ -125,17 +129,28 @@ def _extend(pm: tuple, c: int, x: int) -> tuple:
 
 
 class _PatternTracker:
-    __slots__ = ("pattern", "k", "max_digit", "empty", "accept", "seen")
+    __slots__ = ("pattern", "k", "max_digit", "empty", "accept", "seen", "done", "rel")
 
     def __init__(self, pattern: Word, max_digit: int):
         self.pattern = pattern
         self.k = len(pattern)
         self.max_digit = max_digit
         self.empty = (None,) * (max(pattern) + 1)
-        # accept[j][d], 1 <= j <= k-2: partial matches with j positions filled
-        # that can consume d as position j; seen[j] is their set: none is stored twice.
-        self.accept = [None] + [[[] for _ in range(max_digit + 1)] for _ in range(self.k - 2)]
+        # accept[j][d], 1 <= j <= k-3: partial matches with j positions filled
+        # that can consume d as position j; seen[j], 1 <= j <= k-2, is the set
+        # of matches with j positions filled: none is stored twice.
+        self.accept = [None] + [[[] for _ in range(max_digit + 1)] for _ in range(self.k - 3)]
         self.seen = [None] + [set() for _ in range(self.k - 2)]
+        # rel[d]: the digits that stand to d as p[-1] stands to p[-2] (above,
+        # below or equal).  Consuming d as position k-2 narrows a match's
+        # window for p[-1] to the part that rel[d] holds: its closing mask.
+        c2, c1 = pattern[-2:]
+        self.rel = [
+            1 << d if c1 == c2 else -(2 << d) if c1 > c2 else (1 << d) - 1
+            for d in range(max_digit + 1)
+        ]
+        base = (2 << max_digit) - 1 if self.k == 2 else 0
+        self.done = [[base & r] for r in self.rel]
 
     def window(self, pm: tuple, c: int) -> tuple[int, int]:
         v = pm[c]
@@ -158,23 +173,19 @@ class _PatternTracker:
         """Bitmask of the digits that complete the pattern once d is appended.
 
         These are the windows of the matches with k-2 positions filled that
-        can consume d (the empty match when k = 2), each extended by d.
+        can consume d (the empty match when k = 2), each extended by d: push
+        keeps their OR on top of done[d].
         """
-        p = self.pattern
-        mask = 0
-        for pm in (self.empty,) if self.k == 2 else self.accept[self.k - 2][d]:
-            lo, hi = self.window(_extend(pm, p[-2], d), p[-1])
-            if lo <= hi:
-                mask |= (2 << hi) - (1 << lo)
-        return mask
+        return self.done[d][-1]
 
     def push(self, d: int) -> list:
         """Append digit d; returns a trail for undo."""
         p = self.pattern
-        fresh = [(1, _extend(self.empty, p[0], d))] if self.k > 2 else []
+        last = self.k - 2
+        fresh = [(1, _extend(self.empty, p[0], d))] if last else []
         # the new matches join the buckets only after every bucket is read,
         # so none of them consumes this same d
-        for j in range(1, self.k - 2):
+        for j in range(1, last):
             cj = p[j]
             fresh.extend((j + 1, _extend(pm, cj, d)) for pm in self.accept[j][d])
         trail = []
@@ -185,15 +196,24 @@ class _PatternTracker:
             seen.add(pm2)
             lo, hi = self.window(pm2, p[j2])
             trail.append((j2, pm2, lo, hi))
-            level = self.accept[j2]
+            if j2 < last:
+                level = self.accept[j2]
+                for dd in range(lo, hi + 1):
+                    level[dd].append(pm2)
+                continue
+            lo1, hi1 = self.window(pm2, p[-1])
+            closing = (2 << hi1) - (1 << lo1) if lo1 <= hi1 else 0
+            done, rel = self.done, self.rel
             for dd in range(lo, hi + 1):
-                level[dd].append(pm2)
+                stack = done[dd]
+                stack.append(stack[-1] | closing & rel[dd])
         return trail
 
     def undo(self, trail: list) -> None:
+        last = self.k - 2
         for j2, pm2, lo, hi in reversed(trail):
             self.seen[j2].remove(pm2)
-            level = self.accept[j2]
+            level = self.accept[j2] if j2 < last else self.done
             for dd in range(lo, hi + 1):
                 level[dd].pop()
 

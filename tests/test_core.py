@@ -1,9 +1,11 @@
+import inspect
 import random
+import textwrap
 from itertools import combinations
 
 import pytest
 
-from ascentseq import core
+from ascentseq import core, series
 
 
 def all_ascent_sequences(n):
@@ -348,3 +350,103 @@ def test_walk_pushes_only_the_words_it_descends_below(monkeypatch):
             counts = core.count_avoiders(n, B)
             trackers = sum(len(p) <= n for p in B)
             assert pushes[0] == trackers * sum(counts[: n - 2]), (B, n)
+
+
+def old_completes(t, d):
+    """completes(d) as the loop it replaced: the OR, over the stored matches
+    with k-2 positions filled (the empty match when k = 2) whose window holds
+    d, of their windows for the last position once they consume d."""
+    p = t.pattern
+    mask = 0
+    for pm in [t.empty] if t.k == 2 else t.seen[t.k - 2]:
+        lo, hi = t.window(pm, p[-2])
+        if lo <= d <= hi:
+            lo, hi = t.window(core._extend(pm, p[-2], d), p[-1])
+            if lo <= hi:
+                mask |= (2 << hi) - (1 << lo)
+    return mask
+
+
+@pytest.mark.parametrize(
+    "text", ["201,210", "0021", "1012"] + RANDOM_PATTERN_SETS + ["00", "01", "10"]
+)
+def test_completes_is_the_or_over_stored_matches(text):
+    # drive one tracker per pattern along every avoider up to n = 7
+    B = core.parse_patterns(text)
+    n, max_digit = 7, 7
+    kids = {(): (0,)}
+    core.visit_avoiders(n - 1, B, lambda seq, appendable: kids.update({seq: appendable}))
+    trackers = [core._PatternTracker(p, max_digit) for p in B]
+    nodes = [0]
+
+    def rec(seq):
+        nodes[0] += 1
+        for t in trackers:
+            for d in range(max_digit + 1):
+                assert t.completes(d) == old_completes(t, d), (t.pattern, seq, d)
+        if len(seq) == n:
+            return
+        for d in kids[seq]:
+            trails = [t.push(d) for t in trackers]
+            rec(seq + (d,))
+            for t, tr in zip(trackers, trails):
+                t.undo(tr)
+
+    rec(())
+    assert nodes[0] == 1 + sum(core.count_avoiders(n, B))
+
+
+@pytest.mark.parametrize("text", ["201,210", "0021", "1012", "0111,2110,30321"])
+def test_push_and_undo_leave_no_state_behind(text):
+    B = core.parse_patterns(text)
+    fresh = [core._PatternTracker(p, 8) for p in B]
+    for word in [(0, 1, 0, 2, 1, 3, 0, 2, 4), (0, 1, 2, 1, 0, 3, 3, 2, 4), (0, 0, 1, 1, 0, 2, 2, 1, 0)]:
+        trackers = [core._PatternTracker(p, 8) for p in B]
+        trails = [[t.push(d) for d in word] for t in trackers]
+        assert any(len(stack) > 1 for t in trackers for stack in t.done), word
+        for t, f, tr in zip(trackers, fresh, trails):
+            for trail in reversed(tr):
+                t.undo(trail)
+            assert all(len(stack) == 1 for stack in t.done), (t.pattern, word)
+            assert [s[0] for s in t.done] == [s[0] for s in f.done], (t.pattern, word)
+            assert not any(b for level in t.accept[1:] for b in level), (t.pattern, word)
+            assert not any(t.seen[1:]), (t.pattern, word)
+
+
+def _faulty_push(monkeypatch):
+    """push that stacks each closing mask alone, dropping the OR with the
+    mask below it."""
+    src = inspect.getsource(core._PatternTracker.push)
+    assert src.count("stack[-1] | closing") == 1
+    namespace = {}
+    exec(textwrap.dedent(src.replace("stack[-1] | closing", "closing")), vars(core), namespace)
+    monkeypatch.setattr(core._PatternTracker, "push", namespace["push"])
+
+
+def _leaky_undo(monkeypatch):
+    """undo that leaves one entry on a done stack."""
+    real = core._PatternTracker.undo
+
+    def undo(self, trail):
+        leak = [(lo, self.done[lo][-1]) for j2, _, lo, _ in trail if j2 == self.k - 2][:1]
+        real(self, trail)
+        for dd, top in leak:
+            self.done[dd].append(top)
+
+    monkeypatch.setattr(core._PatternTracker, "undo", undo)
+
+
+@pytest.mark.parametrize("fault", [_faulty_push, _leaky_undo])
+def test_broken_done_stacks_miscount(monkeypatch, fault):
+    # 0021: on 201,210 and 1012 each closing mask stacked by a walk holds the
+    # ones below it, so only the leaky undo shows there
+    B = [(0, 0, 2, 1)]
+    monkeypatch.setattr(core, "_COUNT_CACHE", {})
+    fault(monkeypatch)
+    counts = core.count_avoiders(8, B)
+    assert counts != [series.a007317(n) for n in range(1, 9)]
+    naive = [
+        sum(not any(core.contains_naive(w, p) for p in B) for w in all_ascent_sequences(n))
+        for n in range(1, 8)
+    ]
+    assert counts[:7] != naive
