@@ -16,15 +16,18 @@ p in {q-2, q-1, q}, giving three succession rules:
 
 rooted at (0, 2, 0).  Level counts are classified by the three cases into
 tables g0 (p = q), g1 (p = q-1), and the single g2 node (p = q-2) per
-level, mirrored by bottom-up recurrences.  The simulator expands the rules
-literally, child by child; the recurrences share nothing with it and run
-on running sums, at O(n^2) per level.
+level, mirrored by bottom-up recurrences.  The simulator expands each
+label it reaches once and pulls every level's counts along the recorded
+(parent, child) edges; the recurrences share nothing with it and run on
+running sums, at O(n^2) per level.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -151,18 +154,34 @@ def _classify_level(
 
 
 def simulate_0021_levels(n_max: int) -> list[TripleLevelTables]:
-    """Classified label counts for levels 1..n_max, grown from the root."""
+    """Classified label counts for levels 1..n_max, grown from the root.
+
+    Labels get ids in order of discovery.  Each label is expanded by the
+    rule once, on the first level where it has a nonzero count, and is
+    recorded as a parent of each child it yields, once per occurrence; a
+    level's count of a label is then the sum of its parents' counts one
+    level down.
+    """
     if n_max < 1:
         return []
-    labels = {(0, 2, 0): 1}
-    out = [_classify_level(1, labels)]
+    labels = [(0, 2, 0)]  # id -> label
+    ids = {labels[0]: 0}
+    parents = [array("I")]  # id -> ids of its parents, one per edge
+    counts = [1]  # id -> count at the current level
+    out = [_classify_level(1, {labels[0]: 1})]
+    expanded = 0  # labels[:expanded] have been expanded
     for n in range(2, n_max + 1):
-        nxt: dict[tuple[int, int, int], int] = {}
-        for label, count in labels.items():
-            for child in _rule(label):
-                nxt[child] = nxt.get(child, 0) + count
-        labels = nxt
-        out.append(_classify_level(n, labels))
+        # the labels first reached one level down, all with nonzero counts
+        fresh, expanded = range(expanded, len(labels)), len(labels)
+        for parent in fresh:
+            for child in _rule(labels[parent]):
+                if child not in ids:
+                    ids[child] = len(labels)
+                    labels.append(child)
+                    parents.append(array("I"))
+                parents[ids[child]].append(parent)
+        counts = [sum(map(counts.__getitem__, ps)) for ps in parents]
+        out.append(_classify_level(n, dict(compress(zip(labels, counts), counts))))
     return out
 
 

@@ -93,6 +93,19 @@ def _children(monkeypatch, module, fn, label, child):
     monkeypatch.setattr(module, fn, wrong)
 
 
+def _extra_child(monkeypatch, module, label, child):
+    """One child too many under one label of the succession rule itself, as
+    both the simulator and the children multiset read it."""
+    real = module._rule
+
+    def wrong(lab):
+        yield from real(lab)
+        if lab == label:
+            yield child
+
+    monkeypatch.setattr(module, "_rule", wrong)
+
+
 class Row(NamedTuple):
     perturb: Callable
     args: tuple
@@ -148,6 +161,11 @@ ROWS = [
         {"pair.labels.rule_vs_definition"}),
     Row(_children, (gt, "triple_children", (1, 1, 2), (0, 1, 2)),
         {"t0021.labels.rule_vs_definition"}),
+    Row(_extra_child, (gp, (1, 3), ((0, 3), 1)),
+        {"pair.counts.pentagon", "pair.labels.rule_vs_definition"}),
+    Row(_extra_child, (gt, (1, 1, 2), (0, 1, 2)),
+        {"t0021.counts.pentagon", "t0021.counts.simulation_vs_recurrence",
+         "t0021.labels.rule_vs_definition"}),
 ]
 
 

@@ -108,12 +108,39 @@ def test_recurrence_tables():
     assert gt.dense_a1(t8) == A1_8
 
 
-def test_simulation_matches_recurrence_to_40():
-    sim = gt.simulate_0021_levels(40)
-    rec = gt.triple_recurrence_levels(40)
-    assert len(sim) == len(rec) == 40
+def test_simulation_matches_recurrence_to_80():
+    sim = gt.simulate_0021_levels(80)
+    rec = gt.triple_recurrence_levels(80)
+    assert len(sim) == len(rec) == 80
     for s, r in zip(sim, rec):
         assert s == r, s.n
+
+
+@pytest.mark.parametrize("levels", [gt.simulate_0021_levels, gt.triple_recurrence_levels])
+def test_no_level_the_root_and_the_first_two_levels(levels):
+    root = gt.TripleLevelTables(1, {}, {}, 2)
+    assert levels(0) == []
+    assert levels(1) == [root]
+    assert levels(2) == [root, gt.TripleLevelTables(2, {}, {(1, 1): 1}, 3)]
+
+
+def test_simulation_expands_each_label_once(monkeypatch):
+    real, calls = gt._rule, Counter()
+
+    def counted(label):
+        calls[label] += 1
+        return real(label)
+
+    monkeypatch.setattr(gt, "_rule", counted)
+    gt.simulate_0021_levels(12)
+    # every label with a nonzero count on levels 1..11, read off the recurrence
+    reached = {
+        label
+        for t in gt.triple_recurrence_levels(11)
+        for label in [(q, q, r) for q, r in t.g0] + [(q - 1, q, r) for q, r in t.g1]
+        + [(t.g2_q - 2, t.g2_q, 0)]
+    }
+    assert calls == Counter(reached)
 
 
 def test_recurrence_totals_match_formula_to_80():

@@ -82,12 +82,34 @@ def test_recurrence_base_and_tables():
     assert t7.dense() == A7
 
 
-def test_simulation_matches_recurrence_to_40():
-    sim = gp.simulate_pair_levels(40)
-    rec = gp.pair_recurrence_levels(40)
-    assert len(sim) == len(rec) == 40
+def test_simulation_matches_recurrence_to_80():
+    sim = gp.simulate_pair_levels(80)
+    rec = gp.pair_recurrence_levels(80)
+    assert len(sim) == len(rec) == 80
     for s, r in zip(sim, rec):
         assert s == r, s.n
+
+
+@pytest.mark.parametrize("levels", [gp.simulate_pair_levels, gp.pair_recurrence_levels])
+def test_no_level_the_root_and_the_first_two_levels(levels):
+    root = gp.PairLevelTable(1, {(0, 1): 1})
+    assert levels(0) == []
+    assert levels(1) == [root]
+    assert levels(2) == [root, gp.PairLevelTable(2, {(0, 1): 1, (1, 2): 1})]
+
+
+def test_simulation_expands_each_label_once(monkeypatch):
+    real, calls = gp._rule, Counter()
+
+    def counted(label):
+        calls[label] += 1
+        return real(label)
+
+    monkeypatch.setattr(gp, "_rule", counted)
+    gp.simulate_pair_levels(12)
+    # every label with a nonzero count on levels 1..11, read off the recurrence
+    reached = {label for t in gp.pair_recurrence_levels(11) for label in t.g}
+    assert calls == Counter(reached)
 
 
 def test_recurrence_totals_match_formula_to_80():

@@ -1,6 +1,7 @@
 """The four counting pipelines stay independent: brute force imports no
-generating tree, the closed forms read no count table, and the recurrences
-never call the simulator or the succession rule."""
+generating tree, the closed forms read no count table, the recurrences
+never call the simulator or the succession rule, and the simulators run
+the rule and call no recurrence."""
 
 import ast
 import inspect
@@ -44,3 +45,20 @@ def test_recurrences_name_neither_rule_nor_simulator(module, recurrence):
         if n == "_rule" or n.startswith("simulate_") or n.endswith("_children")
     }
     assert not banned, (recurrence, banned)
+
+
+@pytest.mark.parametrize(
+    "module, simulator",
+    [(gentree_pair, "simulate_pair_levels"), (gentree_0021, "simulate_0021_levels")],
+)
+def test_simulators_name_the_rule_and_no_recurrence(module, simulator):
+    func = next(
+        node
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.FunctionDef) and node.name == simulator
+    )
+    named = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
+    named |= {n.attr for n in ast.walk(func) if isinstance(n, ast.Attribute)}
+    assert "_rule" in named, simulator
+    banned = {n for n in named if n.endswith("_recurrence_levels")}
+    assert not banned, (simulator, banned)
