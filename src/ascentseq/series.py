@@ -149,9 +149,6 @@ class MSeries:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.vars, self.order, tuple(sorted(self.terms.items()))))
-
     def __add__(self, other: "MSeries") -> "MSeries":
         self._check_compatible(other)
         out = dict(self.terms)

@@ -10,7 +10,9 @@ definition agreement of child labels for every small avoider.  Checks
 report their first counterexample instead of raising, and a suite passes
 only if every record passes.  The tree modules hand out level lists only;
 the records shared by both trees, the gf coefficients among them, are
-written once from the class table.
+written once from the class table.  Each suite returns its records as rows
+(id, scope, failures[, note]), and one runner, `_report`, makes and sorts
+the records.
 
 A tree suite takes the brute-force depth n_max >= 1, the series order
 gf_order >= max(n_max, 2) and the label-oracle depth oracle_max >= 1;
@@ -77,21 +79,12 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def finalize(self) -> "VerificationReport":
-        self.records.sort(key=lambda r: r.check_id)
-        return self
-
     def to_json_dict(self) -> dict:
         return {
             "suite": self.suite,
             "passed": self.passed,
             "records": [
-                {
-                    "id": r.check_id,
-                    "scope": r.scope,
-                    "status": r.status,
-                    "detail": r.detail,
-                }
+                {"id": r.check_id, "scope": r.scope, "status": r.status, "detail": r.detail}
                 for r in self.records
             ],
         }
@@ -111,10 +104,8 @@ class VerificationReport:
 
 
 def combine_reports(reports: list[VerificationReport]) -> VerificationReport:
-    out = VerificationReport("all")
-    for rep in reports:
-        out.records.extend(rep.records)
-    return out.finalize()
+    records = [r for rep in reports for r in rep.records]
+    return VerificationReport("all", sorted(records, key=lambda r: r.check_id))
 
 
 def _show(x) -> str:
@@ -129,13 +120,16 @@ def _show(x) -> str:
     return repr(x)
 
 
-def _add(records: list[CheckRecord], check_id: str, scope: str, failures: list, note: str = "") -> None:
+def _record(check_id: str, scope: str, failures: list, note: str = "") -> CheckRecord:
     if failures:
-        records.append(
-            CheckRecord(check_id, scope, "fail", f"first counterexample: {_show(failures[0])}")
-        )
-    else:
-        records.append(CheckRecord(check_id, scope, "pass", note))
+        return CheckRecord(check_id, scope, "fail", f"first counterexample: {_show(failures[0])}")
+    return CheckRecord(check_id, scope, "pass", note)
+
+
+def _report(suite: str, rows: list[tuple]) -> VerificationReport:
+    """The one runner: a record per row (id, scope, failures[, note]), sorted by id."""
+    records = sorted((_record(*row) for row in rows), key=lambda r: r.check_id)
+    return VerificationReport(suite, records)
 
 
 def _mismatches(ns, *seqs) -> list[tuple]:
@@ -145,8 +139,9 @@ def _mismatches(ns, *seqs) -> list[tuple]:
     return [row for row in rows if any(v != row[1] for v in row[2:])]
 
 
-def _rule_vs_definition(records, spec: _ClassSpec, oracle_max) -> None:
-    """Child labels from the definition equal the succession rule's output.
+def _rule_vs_definition(spec: _ClassSpec, oracle_max) -> list[tuple]:
+    """The avoiders whose children's labels from the definition differ from
+    the succession rule's output, shortest first.
 
     One walk to length oracle_max + 1 visits every avoider with its append
     set, from which spec.label gives its label.  The open parents along the
@@ -172,8 +167,7 @@ def _rule_vs_definition(records, spec: _ClassSpec, oracle_max) -> None:
     visit_avoiders(oracle_max + 1, spec.patterns, visit)
     while path:
         close()
-    bad.sort(key=lambda b: (len(b[0]), b[0]))  # shortest, then lexicographic
-    _add(records, f"{spec.name}.labels.rule_vs_definition", f"n<={oracle_max}", bad)
+    return sorted(bad, key=lambda b: (len(b[0]), b[0]))  # shortest, then lexicographic
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +326,18 @@ _CLASSES = {frozenset(c.patterns): c for c in (_PAIR, _T0021, _C1012)}
 _TOTAL_MAX = 40  # the total_vs_formula records read the closed forms alone
 
 
-def _tree_records(spec: _ClassSpec, records, n_max, gf_order, oracle_max):
-    """The records a tree suite writes the same way for every class.
+def _tree_rows(spec: _ClassSpec, n_max, gf_order, oracle_max):
+    """The rows a tree suite writes the same way for every class.
 
     Checks the depths and writes the pentagon (brute force, simulation,
     recurrence and formula agree on the counts), recurrence-vs-formula,
-    rule-vs-definition, residual, total-vs-formula and gf-coefficient
-    records.  The last compares every term of the C and D closed forms up
-    to level gf_order // 2 with the cells spec.cells reads off that level
-    of the recurrence, so a wrong value, a term off the support and a term
-    at level 0 all fail it.  Returns the recurrence depth recur_max, the
-    simulated and the recurrence levels, and the C and D closed forms.
+    rule-vs-definition, residual, gf-coefficient and total-vs-formula rows.
+    The gf-coefficient row compares every term of the C and D closed forms up
+    to level gf_order // 2 with the cells spec.cells reads off that level of
+    the recurrence, so a wrong value, a term off the support and a term at
+    level 0 all fail it.  Returns the rows and the inputs the suites share:
+    the recurrence depth recur_max, the simulated and the recurrence levels,
+    and the C and D closed forms.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -354,31 +349,31 @@ def _tree_records(spec: _ClassSpec, records, n_max, gf_order, oracle_max):
     if gf_order < 2:
         # below 2 the gf records would check no level and still pass
         raise ValueError(f"gf_order {gf_order} must be at least 2")
+    name = spec.name
     recur_max = max(n_max, 20)
     residual_order = min(gf_order, spec.residual_cap)
-    sim = spec.simulate(n_max)
-    # as deep as the deepest record reading it: recurrence and gf checks
-    recur = spec.recurrence(max(recur_max, gf_order // 2))
-
-    brute = count_avoiders(n_max, spec.patterns)
-    bad = _mismatches(range(1, n_max + 1), lambda n: brute[n - 1],
-                      lambda n: sim[n - 1].total(), lambda n: recur[n - 1].total(),
-                      a007317)
-    _add(records, f"{spec.name}.counts.pentagon", f"n<={n_max}", bad,
-         f"counts {brute[:7]}...")
-    bad = _mismatches(range(1, recur_max + 1), lambda n: recur[n - 1].total(), a007317)
-    _add(records, f"{spec.name}.counts.recurrence_vs_formula", f"n<={recur_max}", bad)
-
-    _rule_vs_definition(records, spec, oracle_max)
-
-    for side, which in zip("cd", spec.residuals):
-        res = residual(which, residual_order)
-        bad = [] if res.is_zero() else [sorted(res.terms.items())[0]]
-        _add(records, f"{spec.name}.gf.residual_{side}", f"order<={residual_order}",
-             bad, "identically zero")
-
     depth = gf_order // 2
-    C, D = (build_closed_form(name, gf_order) for name in spec.cd_gf)
+    sim = spec.simulate(n_max)
+    # as deep as the deepest row reading it: recurrence and gf checks
+    recur = spec.recurrence(max(recur_max, depth))
+    brute = count_avoiders(n_max, spec.patterns)
+
+    rows = [
+        (f"{name}.counts.pentagon", f"n<={n_max}",
+         _mismatches(range(1, n_max + 1), lambda n: brute[n - 1],
+                     lambda n: sim[n - 1].total(), lambda n: recur[n - 1].total(),
+                     a007317),
+         f"counts {brute[:7]}..."),
+        (f"{name}.counts.recurrence_vs_formula", f"n<={recur_max}",
+         _mismatches(range(1, recur_max + 1), lambda n: recur[n - 1].total(), a007317)),
+        (f"{name}.labels.rule_vs_definition", f"n<={oracle_max}",
+         _rule_vs_definition(spec, oracle_max)),
+        *((f"{name}.gf.residual_{side}", f"order<={residual_order}",
+           sorted(residual(which, residual_order).terms.items())[:1], "identically zero")
+          for side, which in zip("cd", spec.residuals)),
+    ]
+
+    C, D = (build_closed_form(form, gf_order) for form in spec.cd_gf)
     want: tuple[dict, dict] = ({}, {})  # no cell at level 0
     for t in recur[:depth]:
         for side, cells in zip(want, spec.cells(t)):
@@ -392,14 +387,15 @@ def _tree_records(spec: _ClassSpec, records, n_max, gf_order, oracle_max):
         ),
         key=lambda b: (b[1][-1], b[0], b[1]),  # level, then side, then exponent
     )
-    _add(records, f"{spec.name}.gf.coefficients", f"n<={depth}", bad)
-
     total = build_closed_form(spec.total_gf, _TOTAL_MAX)
-    bad = _mismatches(range(_TOTAL_MAX + 1), lambda n: total.coeff((n,)),
-                      lambda n: a007317(n) if n else 0)
-    _add(records, f"{spec.name}.gf.total_vs_formula", f"n<={_TOTAL_MAX}", bad,
-         spec.total_note)
-    return recur_max, sim, recur, C, D
+    rows += [
+        (f"{name}.gf.coefficients", f"n<={depth}", bad),
+        (f"{name}.gf.total_vs_formula", f"n<={_TOTAL_MAX}",
+         _mismatches(range(_TOTAL_MAX + 1), lambda n: total.coeff((n,)),
+                     lambda n: a007317(n) if n else 0),
+         spec.total_note),
+    ]
+    return rows, recur_max, sim, recur, C, D
 
 
 # ---------------------------------------------------------------------------
@@ -417,32 +413,25 @@ def crosscheck_pair(
     the published level arrays and the seven structural identities are
     replayed; the functional-equation residuals must vanish.
     """
-    records: list[CheckRecord] = []
-    _, _, recur, C, _ = _tree_records(_PAIR, records, n_max, gf_order, oracle_max)
+    rows, _, _, recur, C, _ = _tree_rows(_PAIR, n_max, gf_order, oracle_max)
     relations_max = max(n_max, 15)
-
     golden_hi = min(n_max, max(GOLDEN_PAIR_ARRAYS))
-    bad = []
+    golden = []
     for n in range(1, golden_hi + 1):
-        dense = recur[n - 1].dense()
-        expected = GOLDEN_PAIR_ARRAYS[n]
-        for p in range(n):
-            for qi in range(n):
-                if dense[p][qi] != expected[p][qi]:
-                    bad.append((n, p, qi + 1))
-    _add(records, "pair.golden.level_arrays", f"n<={golden_hi}", bad)
-
-    bad = gpair.check_structure_relations(recur[:relations_max])
-    _add(records, "pair.relations.seven_identities", f"2<=n<={relations_max}", bad,
-         "all seven identities hold")
-
+        dense, expected = recur[n - 1].dense(), GOLDEN_PAIR_ARRAYS[n]
+        golden += [(n, p, qi + 1) for p in range(n) for qi in range(n)
+                   if dense[p][qi] != expected[p][qi]]
     depth = gf_order // 2
     diag = C.diagonal()
-    bad = _mismatches(range(depth + 1), lambda n: diag.coeff((n,)),
-                      lambda n: int(n > 0))  # 0 at z^0, 1 on every level
-    _add(records, "pair.gf.diagonal_ones", f"n<={depth}", bad)
-
-    return VerificationReport("pair", records).finalize()
+    return _report("pair", rows + [
+        ("pair.golden.level_arrays", f"n<={golden_hi}", golden),
+        ("pair.relations.seven_identities", f"2<=n<={relations_max}",
+         gpair.check_structure_relations(recur[:relations_max]),
+         "all seven identities hold"),
+        ("pair.gf.diagonal_ones", f"n<={depth}",
+         _mismatches(range(depth + 1), lambda n: diag.coeff((n,)),
+                     lambda n: int(n > 0))),  # 0 at z^0, 1 on every level
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -466,59 +455,32 @@ def crosscheck_0021(
     row-shift structure, the single-increasing-node convention, and the
     column-structure relations through f(z) and g(z).
     """
-    records: list[CheckRecord] = []
-    recur_max, sim, recur, C, D = _tree_records(
-        _T0021, records, n_max, gf_order, oracle_max
-    )
+    rows, recur_max, sim, recur, C, D = _tree_rows(_T0021, n_max, gf_order, oracle_max)
 
-    bad = []
-    for n in range(1, n_max + 1):
-        s, r = sim[n - 1], recur[n - 1]
-        if (s.g0, s.g1, s.g2_q) != (r.g0, r.g1, r.g2_q):
-            bad.append((n,))
-    _add(records, "t0021.counts.simulation_vs_recurrence", f"n<={n_max}", bad)
+    sim_vs_recur = [(n,) for n, s, r in zip(range(1, n_max + 1), sim, recur)
+                    if (s.g0, s.g1, s.g2_q) != (r.g0, r.g1, r.g2_q)]
 
     golden_max = max(GOLDEN_A0_ARRAYS)  # the g0 and g1 tables both stop here
-    bad = []
+    golden = []
     for n in range(2, golden_max + 1):
         t = recur[n - 1]
-        for name, got, want in (
-            ("g0", g0021.dense_a0(t), GOLDEN_A0_ARRAYS[n]),
-            ("g1", g0021.dense_a1(t), GOLDEN_A1_ARRAYS[n]),
+        for name, offset, got, want in (
+            ("g0", 2, g0021.dense_a0(t), GOLDEN_A0_ARRAYS[n]),
+            ("g1", 1, g0021.dense_a1(t), GOLDEN_A1_ARRAYS[n]),
         ):
-            for qi, row in enumerate(want):
-                for ri, val in enumerate(row):
-                    if got[qi][ri] != val:
-                        offset = 2 if name == "g0" else 1
-                        bad.append((n, name, qi + 1, ri + offset))
-    _add(records, "t0021.golden.level_arrays", f"n<={golden_max}", bad)
+            golden += [(n, name, qi + 1, ri + offset)
+                       for qi, row in enumerate(want) for ri, val in enumerate(row)
+                       if got[qi][ri] != val]
 
-    bad = []
+    row_shift = []
     for n in range(2, recur_max + 1):
         now, prev = recur[n - 1], recur[n - 2]
-        for (q, r), val in prev.g0.items():
-            if now.value0(q + 1, r) != val:
-                bad.append(("g0", n, q + 1, r))
-        for (q, r), val in prev.g1.items():
-            if now.value1(q + 1, r) != val:
-                bad.append(("g1", n, q + 1, r))
-    _add(records, "t0021.relations.row_shift", f"n<={recur_max}", bad,
-         "each level array is the previous one pushed down one row")
-
-    # the simulated levels report the q they found, the recurrence its own
-    bad = [
-        (source, t.n, t.g2_q)
-        for source, levels in (("simulation", sim), ("recurrence", recur[:recur_max]))
-        for t in levels
-        if t.g2_q != t.n + 1
-    ]
-    _add(records, "t0021.relations.single_increasing_node", f"n<={recur_max}", bad)
+        for side, cells, value in (("g0", prev.g0, now.value0), ("g1", prev.g1, now.value1)):
+            row_shift += [(side, n, q + 1, r) for (q, r), val in cells.items()
+                          if value(q + 1, r) != val]
 
     depth = gf_order // 2
     tot = (C + D).substitute("x", 1).substitute("y", 1)
-    bad = _mismatches(range(1, depth + 1), lambda n: tot.coeff((0, 0, n)) + 1, a007317)
-    _add(records, "t0021.gf.level_totals", f"n<={depth}", bad,
-         "g0 + g1 sums plus the single increasing node")
 
     # Column structure of the g0 arrays.  Alignment: with T_r(z) defined as
     # sum_n g0(n, 1, r) z^n (top-row entries across levels, which by the
@@ -534,36 +496,38 @@ def crosscheck_0021(
         * MSeries(zs, depth_cols, {(2,): 1})
     )
     t2 = _column_series(recur, 2)
-    bad = _mismatches(range(depth_cols + 1), lambda n: t2.coeff((n,)),
-                      lambda n: first_expected.coeff((n,)))
-    _add(
-        records,
-        "t0021.columns.first_vs_f",
-        f"n<={depth_cols}",
-        bad,
-        "alignment: sum_n g0(n,1,2) z^n = z^2 (f(z)-1)/(1-z)",
-    )
-
-    bad = []
+    ratio = []
     for r in range(2, depth_cols - 2):
-        t_r = _column_series(recur, r)
-        t_next = _column_series(recur, r + 1)
-        prod = t_r * g
+        prod, t_next = _column_series(recur, r) * g, _column_series(recur, r + 1)
         # column r+1 starts one level later than column r, hence the z shift
-        for n in range(1, depth_cols + 1):
-            if prod.coeff((n - 1,)) != t_next.coeff((n,)):
-                bad.append((r, n, prod.coeff((n - 1,)), t_next.coeff((n,))))
+        ratio += [(r, *m) for m in _mismatches(range(1, depth_cols + 1),
+                                               lambda n: prod.coeff((n - 1,)),
+                                               lambda n: t_next.coeff((n,)))]
         if t_next.coeff((0,)) != 0:
-            bad.append((r, 0, 0, t_next.coeff((0,))))
-    _add(
-        records,
-        "t0021.columns.ratio_is_g",
-        f"2<=r<{depth_cols - 2}, n<={depth_cols}",
-        bad,
-        "alignment: sum_n g0(n,1,r+1) z^n = z g(z) sum_n g0(n,1,r) z^n",
-    )
+            ratio.append((r, 0, 0, t_next.coeff((0,))))
 
-    return VerificationReport("0021", records).finalize()
+    return _report("0021", rows + [
+        ("t0021.counts.simulation_vs_recurrence", f"n<={n_max}", sim_vs_recur),
+        ("t0021.golden.level_arrays", f"n<={golden_max}", golden),
+        ("t0021.relations.row_shift", f"n<={recur_max}", row_shift,
+         "each level array is the previous one pushed down one row"),
+        # the simulated levels report the q they found, the recurrence its own
+        ("t0021.relations.single_increasing_node", f"n<={recur_max}", [
+            (source, t.n, t.g2_q)
+            for source, levels in (("simulation", sim), ("recurrence", recur[:recur_max]))
+            for t in levels
+            if t.g2_q != t.n + 1
+        ]),
+        ("t0021.gf.level_totals", f"n<={depth}",
+         _mismatches(range(1, depth + 1), lambda n: tot.coeff((0, 0, n)) + 1, a007317),
+         "g0 + g1 sums plus the single increasing node"),
+        ("t0021.columns.first_vs_f", f"n<={depth_cols}",
+         _mismatches(range(depth_cols + 1), lambda n: t2.coeff((n,)),
+                     lambda n: first_expected.coeff((n,))),
+         "alignment: sum_n g0(n,1,2) z^n = z^2 (f(z)-1)/(1-z)"),
+        ("t0021.columns.ratio_is_g", f"2<=r<{depth_cols - 2}, n<={depth_cols}", ratio,
+         "alignment: sum_n g0(n,1,r+1) z^n = z g(z) sum_n g0(n,1,r) z^n"),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -577,13 +541,13 @@ def wilf_equivalence_check(n_max: int = 11) -> VerificationReport:
     classes, both counted by the Catalan convolution."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    records: list[CheckRecord] = []
     counts_0021 = count_avoiders(n_max, _T0021.patterns)
     counts_1012 = count_avoiders(n_max, _C1012.patterns)
     ns = range(1, n_max + 1)
-    bad = _mismatches(ns, lambda n: counts_0021[n - 1], lambda n: counts_1012[n - 1])
-    _add(records, "wilf.counts.equal", f"n<={n_max}", bad,
-         f"both reach {counts_0021[-1]} at n={n_max}")
-    bad = _mismatches(ns, lambda n: counts_0021[n - 1], a007317)
-    _add(records, "wilf.counts.formula", f"n<={n_max}", bad)
-    return VerificationReport("wilf", records).finalize()
+    return _report("wilf", [
+        ("wilf.counts.equal", f"n<={n_max}",
+         _mismatches(ns, lambda n: counts_0021[n - 1], lambda n: counts_1012[n - 1]),
+         f"both reach {counts_0021[-1]} at n={n_max}"),
+        ("wilf.counts.formula", f"n<={n_max}",
+         _mismatches(ns, lambda n: counts_0021[n - 1], a007317)),
+    ])

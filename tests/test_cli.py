@@ -193,3 +193,44 @@ def test_out_file_written_atomically(tmp_path):
     assert target.read_text() == "51\n"
     leftovers = [p for p in tmp_path.iterdir() if p != target]
     assert leftovers == []
+
+
+# `verify --suite all --n-max 5 --order 12` byte for byte: the merged report's
+# sort order, its wilf rows and the text format
+VERIFY_ALL_TEXT = """\
+suite: all
+PASS pair.counts.pentagon [n<=5] -- counts [1, 2, 5, 15, 51]...
+PASS pair.counts.recurrence_vs_formula [n<=20]
+PASS pair.gf.coefficients [n<=6]
+PASS pair.gf.diagonal_ones [n<=6]
+PASS pair.gf.residual_c [order<=12] -- identically zero
+PASS pair.gf.residual_d [order<=12] -- identically zero
+PASS pair.gf.total_vs_formula [n<=40]
+PASS pair.golden.level_arrays [n<=5]
+PASS pair.labels.rule_vs_definition [n<=8]
+PASS pair.relations.seven_identities [2<=n<=15] -- all seven identities hold
+PASS t0021.columns.first_vs_f [n<=20] -- alignment: sum_n g0(n,1,2) z^n = z^2 (f(z)-1)/(1-z)
+PASS t0021.columns.ratio_is_g [2<=r<18, n<=20] -- alignment: \
+sum_n g0(n,1,r+1) z^n = z g(z) sum_n g0(n,1,r) z^n
+PASS t0021.counts.pentagon [n<=5] -- counts [1, 2, 5, 15, 51]...
+PASS t0021.counts.recurrence_vs_formula [n<=20]
+PASS t0021.counts.simulation_vs_recurrence [n<=5]
+PASS t0021.gf.coefficients [n<=6]
+PASS t0021.gf.level_totals [n<=6] -- g0 + g1 sums plus the single increasing node
+PASS t0021.gf.residual_c [order<=12] -- identically zero
+PASS t0021.gf.residual_d [order<=12] -- identically zero
+PASS t0021.gf.total_vs_formula [n<=40] -- matches the pair-class closed form coefficientwise
+PASS t0021.golden.level_arrays [n<=8]
+PASS t0021.labels.rule_vs_definition [n<=8]
+PASS t0021.relations.row_shift [n<=20] -- \
+each level array is the previous one pushed down one row
+PASS t0021.relations.single_increasing_node [n<=20]
+PASS wilf.counts.equal [n<=5] -- both reach 51 at n=5
+PASS wilf.counts.formula [n<=5]
+overall: PASS
+"""
+
+
+def test_verify_all_text_is_pinned():
+    argv = ["verify", "--suite", "all", "--n-max", "5", "--order", "12"]
+    assert run(argv) == (0, VERIFY_ALL_TEXT)

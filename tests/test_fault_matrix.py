@@ -1,5 +1,5 @@
 """Every verify record can fail: one perturbation per row, and the exact set
-of records it makes fail.
+of records it makes fail, each with its first counterexample.
 
 Each row injects one fault by monkeypatch where verify reads its inputs and
 runs the three suites of `verify --suite all` at small depths.  Together the
@@ -109,63 +109,101 @@ def _extra_child(monkeypatch, module, label, child):
 class Row(NamedTuple):
     perturb: Callable
     args: tuple
-    fails: set  # the exact ids of the failing records
-    details: dict = {}  # id -> pinned detail of a failing record
+    fails: dict  # id -> detail, for exactly the failing records
 
+
+def _first(example: str) -> str:
+    return f"first counterexample: {example}"
+
+
+# the rule-vs-definition counterexamples: (avoider, its children's labels
+# from the definition, the rule's)
+PAIR_LABELS = _first(
+    "((0, 1, 0, 1), [((0, 3), 1), ((1, 3), 1), ((2, 4), 1), ((3, 4), 1)], "
+    "[((0, 3), 2), ((1, 3), 1), ((2, 4), 1), ((3, 4), 1)])"
+)
+T0021_LABELS = _first(
+    "((0, 0, 1), [((0, 1, 2), 1), ((1, 1, 2), 2)], [((0, 1, 2), 2), ((1, 1, 2), 2)])"
+)
 
 ROWS = [
-    Row(_brute, (PAIR, 5), {"pair.counts.pentagon"}),
-    Row(_brute, (C1012, 6), {"wilf.counts.equal"}),
+    Row(_brute, (PAIR, 5), {"pair.counts.pentagon": _first("(5, 52, 51, 51, 51)")}),
+    Row(_brute, (C1012, 6), {"wilf.counts.equal": _first("(6, 188, 189)")}),
     Row(_brute, (T0021, 6),
-        {"t0021.counts.pentagon", "wilf.counts.equal", "wilf.counts.formula"}),
-    Row(_level, (gp, "simulate_pair_levels", 5, "g", (1, 3)), {"pair.counts.pentagon"}),
+        {"t0021.counts.pentagon": _first("(6, 189, 188, 188, 188)"),
+         "wilf.counts.equal": _first("(6, 189, 188)"),
+         "wilf.counts.formula": _first("(6, 189, 188)")}),
+    Row(_level, (gp, "simulate_pair_levels", 5, "g", (1, 3)),
+        {"pair.counts.pentagon": _first("(5, 51, 52, 51, 51)")}),
     Row(_level, (gt, "simulate_0021_levels", 5, "g0", (1, 2)),
-        {"t0021.counts.pentagon", "t0021.counts.simulation_vs_recurrence"}),
+        {"t0021.counts.pentagon": _first("(5, 51, 52, 51, 51)"),
+         "t0021.counts.simulation_vs_recurrence": _first("(5,)")}),
     Row(_level, (gt, "simulate_0021_levels", 4, "g2_q"),
-        {"t0021.counts.simulation_vs_recurrence",
-         "t0021.relations.single_increasing_node"}),
+        {"t0021.counts.simulation_vs_recurrence": _first("(4,)"),
+         "t0021.relations.single_increasing_node": _first("('simulation', 4, 6)")}),
     Row(_level, (gp, "pair_recurrence_levels", 15, "g", (1, 3)),
-        {"pair.counts.recurrence_vs_formula", "pair.relations.seven_identities"}),
+        {"pair.counts.recurrence_vs_formula": _first("(15, 86211886, 86211885)"),
+         "pair.relations.seven_identities": _first(
+             "RelationViolation(relation='interior_shift', n=15, where=(1, 3), "
+             "lhs=7214467, rhs=7214466)")}),
     Row(_level, (gt, "triple_recurrence_levels", 15, "g0", (1, 2)),
-        {"t0021.columns.first_vs_f", "t0021.columns.ratio_is_g",
-         "t0021.counts.recurrence_vs_formula", "t0021.relations.row_shift"}),
+        {"t0021.columns.first_vs_f": _first("(15, 19181100, 19181099)"),
+         "t0021.columns.ratio_is_g": _first("(2, 16, 61462522, 61462521)"),
+         "t0021.counts.recurrence_vs_formula": _first("(15, 86211886, 86211885)"),
+         "t0021.relations.row_shift": _first("('g0', 16, 2, 2)")}),
     Row(_level, (gt, "triple_recurrence_levels", 15, "g1", (1, 2)),
-        {"t0021.counts.recurrence_vs_formula", "t0021.relations.row_shift"}),
-    Row(_formula, (30,), {"pair.gf.total_vs_formula", "t0021.gf.total_vs_formula"}),
+        {"t0021.counts.recurrence_vs_formula": _first("(15, 86211886, 86211885)"),
+         "t0021.relations.row_shift": _first("('g1', 16, 2, 2)")}),
+    Row(_formula, (30,),
+        {"pair.gf.total_vs_formula":
+             _first("(30, 911225151259732188, 911225151259732189)"),
+         "t0021.gf.total_vs_formula":
+             _first("(30, 911225151259732188, 911225151259732189)")}),
     # the last sequence of the pentagon alone is wrong
     Row(_formula, (5,),
-        {"pair.counts.pentagon", "pair.counts.recurrence_vs_formula",
-         "pair.gf.total_vs_formula", "t0021.counts.pentagon",
-         "t0021.counts.recurrence_vs_formula", "t0021.gf.level_totals",
-         "t0021.gf.total_vs_formula", "wilf.counts.formula"}),
+        {"pair.counts.pentagon": _first("(5, 51, 51, 51, 52)"),
+         "pair.counts.recurrence_vs_formula": _first("(5, 51, 52)"),
+         "pair.gf.total_vs_formula": _first("(5, 51, 52)"),
+         "t0021.counts.pentagon": _first("(5, 51, 51, 51, 52)"),
+         "t0021.counts.recurrence_vs_formula": _first("(5, 51, 52)"),
+         "t0021.gf.level_totals": _first("(5, 51, 52)"),
+         "t0021.gf.total_vs_formula": _first("(5, 51, 52)"),
+         "wilf.counts.formula": _first("(5, 51, 52)")}),
     # the residuals read C and D from the same table as gf.coefficients
     Row(_term, ("C_pair", (3, 5)),
-        {"pair.gf.coefficients", "pair.gf.residual_c", "pair.gf.residual_d"}),
+        {"pair.gf.coefficients": _first("('C', (3, 5), 20, 19)"),
+         "pair.gf.residual_c": _first("((3, 5), 1)"),
+         "pair.gf.residual_d": _first("((4, 6), -1)")}),
     Row(_term, ("C_pair", (4, 4)),
-        {"pair.gf.coefficients", "pair.gf.diagonal_ones",
-         "pair.gf.residual_c", "pair.gf.residual_d"},
-        {"pair.gf.diagonal_ones": "first counterexample: (4, 2, 1)"}),
-    Row(_term, ("C2", (5,)), {"pair.gf.residual_c"}),
-    Row(_term, ("C_total_pair", (0,)), {"pair.gf.total_vs_formula"},
-        {"pair.gf.total_vs_formula": "first counterexample: (0, 1, 0)"}),
+        {"pair.gf.coefficients": _first("('C', (4, 4), 2, 1)"),
+         "pair.gf.diagonal_ones": _first("(4, 2, 1)"),
+         "pair.gf.residual_c": _first("((4, 4), 1)"),
+         "pair.gf.residual_d": _first("((5, 5), -1)")}),
+    Row(_term, ("C2", (5,)), {"pair.gf.residual_c": _first("((2, 5), -1)")}),
+    Row(_term, ("C_total_pair", (0,)), {"pair.gf.total_vs_formula": _first("(0, 1, 0)")}),
     Row(_term, ("C_0021", (1, 2, 5)),
-        {"t0021.gf.coefficients", "t0021.gf.level_totals",
-         "t0021.gf.residual_c", "t0021.gf.residual_d"}),
-    Row(_term, ("total_0021", (0,)), {"t0021.gf.total_vs_formula"},
-        {"t0021.gf.total_vs_formula": "first counterexample: (0, 1, 0)"}),
-    Row(_term, ("f", (7,)), {"t0021.columns.first_vs_f"}),
-    Row(_term, ("g", (7,)), {"t0021.columns.ratio_is_g"}),
-    Row(_golden, ("GOLDEN_PAIR_ARRAYS", 5, 1, 2), {"pair.golden.level_arrays"}),
-    Row(_golden, ("GOLDEN_A1_ARRAYS", 6, 0, 1), {"t0021.golden.level_arrays"}),
+        {"t0021.gf.coefficients": _first("('C', (1, 2, 5), 15, 14)"),
+         "t0021.gf.level_totals": _first("(5, 52, 51)"),
+         "t0021.gf.residual_c": _first("((1, 2, 5), -1)"),
+         "t0021.gf.residual_d": _first("((1, 3, 6), 1)")}),
+    Row(_term, ("total_0021", (0,)), {"t0021.gf.total_vs_formula": _first("(0, 1, 0)")}),
+    Row(_term, ("f", (7,)), {"t0021.columns.first_vs_f": _first("(9, 2949, 2950)")}),
+    Row(_term, ("g", (7,)), {"t0021.columns.ratio_is_g": _first("(2, 11, 35644, 35643)")}),
+    Row(_golden, ("GOLDEN_PAIR_ARRAYS", 5, 1, 2),
+        {"pair.golden.level_arrays": _first("(5, 1, 3)")}),
+    Row(_golden, ("GOLDEN_A1_ARRAYS", 6, 0, 1),
+        {"t0021.golden.level_arrays": _first("(6, 'g1', 1, 2)")}),
     Row(_children, (gp, "pair_children", (1, 3), (0, 3)),
-        {"pair.labels.rule_vs_definition"}),
+        {"pair.labels.rule_vs_definition": PAIR_LABELS}),
     Row(_children, (gt, "triple_children", (1, 1, 2), (0, 1, 2)),
-        {"t0021.labels.rule_vs_definition"}),
+        {"t0021.labels.rule_vs_definition": T0021_LABELS}),
     Row(_extra_child, (gp, (1, 3), ((0, 3), 1)),
-        {"pair.counts.pentagon", "pair.labels.rule_vs_definition"}),
+        {"pair.counts.pentagon": _first("(5, 51, 52, 51, 51)"),
+         "pair.labels.rule_vs_definition": PAIR_LABELS}),
     Row(_extra_child, (gt, (1, 1, 2), (0, 1, 2)),
-        {"t0021.counts.pentagon", "t0021.counts.simulation_vs_recurrence",
-         "t0021.labels.rule_vs_definition"}),
+        {"t0021.counts.pentagon": _first("(4, 15, 16, 15, 15)"),
+         "t0021.counts.simulation_vs_recurrence": _first("(4,)"),
+         "t0021.labels.rule_vs_definition": T0021_LABELS}),
 ]
 
 
@@ -190,9 +228,7 @@ def _row_id(row: Row) -> str:
 def test_perturbation_fails_exactly_its_records(monkeypatch, row):
     row.perturb(monkeypatch, *row.args)
     failing = {k: v for k, v in _run().items() if v is not None}
-    assert set(failing) == row.fails
-    for check_id, detail in row.details.items():
-        assert failing[check_id] == detail
+    assert failing == row.fails
 
 
 def test_every_record_fails_in_some_row():
