@@ -1,7 +1,9 @@
 """Command-line front-end: counting, enumeration, tables, coefficients,
 and the verification suites.
 
-Exit status is 0 on success, 1 when a verification suite fails, and 2 on
+count, enumerate, table and coeffs write plain text, json or csv; verify
+writes plain text or json, and --format csv is a usage error there.  Exit
+status is 0 on success, 1 when a verification suite fails, and 2 on
 usage errors.  Output goes to stdout or, with --out, is written to a file
 in one atomic replace.
 """
@@ -14,6 +16,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import chain
 
 from . import gentree_0021 as g0021
 from . import gentree_pair as gpair
@@ -53,6 +56,17 @@ def _write_out(text: str, out_path: str | None) -> None:
         raise
 
 
+def _emit(args, obj, csv, plain, empty: str = "") -> int:
+    """Write obj as json, or the lines of csv or of plain (empty when there
+    are none).  csv and plain are iterables, read only for their own format."""
+    if args.format == "json":
+        text = json.dumps(obj)
+    else:
+        text = "\n".join(csv if args.format == "csv" else plain) or empty
+    _write_out(text, args.out)
+    return 0
+
+
 def _count_by_method(patterns, n: int, method: str, parser) -> int:
     if method == "brute":
         return count_avoiders(n, patterns)[n - 1]
@@ -76,81 +90,43 @@ def _count_by_method(patterns, n: int, method: str, parser) -> int:
 
 
 def _cmd_count(args, parser) -> int:
-    patterns = args.patterns
-    n = args.n
-    count = _count_by_method(patterns, n, args.method, parser)
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "patterns": args.patterns_text,
-                "n": n,
-                "method": args.method,
-                "count": count,
-            }
-        )
-    elif args.format == "csv":
-        text = "patterns,n,method,count\n" + f"\"{args.patterns_text}\",{n},{args.method},{count}"
-    else:
-        text = str(count)
-    _write_out(text, args.out)
-    return 0
+    n, method, pats = args.n, args.method, args.patterns_text
+    count = _count_by_method(args.patterns, n, method, parser)
+    obj = {"patterns": pats, "n": n, "method": method, "count": count}
+    csv = ["patterns,n,method,count", f"\"{pats}\",{n},{method},{count}"]
+    return _emit(args, obj, csv, [str(count)])
 
 
 def _cmd_enumerate(args, parser) -> int:
     seqs = [format_sequence(s) for s in enumerate_avoiders(args.n, args.patterns)]
-    if args.format == "json":
-        text = json.dumps(
-            {"patterns": args.patterns_text, "n": args.n, "sequences": seqs}
-        )
-    elif args.format == "csv":
-        text = "\n".join(["sequence"] + seqs)
-    else:
-        text = "\n".join(seqs)
-    _write_out(text, args.out)
-    return 0
+    obj = {"patterns": args.patterns_text, "n": args.n, "sequences": seqs}
+    return _emit(args, obj, chain(["sequence"], seqs), seqs)
 
 
 def _cmd_table(args, parser) -> int:
     n = args.n
     if args.family == "pair":
         table = gpair.pair_recurrence_levels(n)[-1]
-        dense = table.dense()
-        rows = [f"{a},{b},{c},{d}" for a, b, c, d in gpair.csv_rows(table)]
-        csv_text = "\n".join(["n,p,q,g"] + rows)
+        dense, cells, header, key = table.dense(), table.g, "n,p,q,g", n
     else:
         tables = g0021.triple_recurrence_levels(n)[-1]
-        dense = g0021.dense_a0(tables) if args.family == "a0" else g0021.dense_a1(tables)
-        cls = "g0" if args.family == "a0" else "g1"
-        rows = [
-            f"{a},{b},{c},{d},{e}"
-            for a, b, c, d, e in g0021.csv_rows(tables)
-            if b == cls
-        ]
-        csv_text = "\n".join(["n,class,q,r,count"] + rows)
-    if args.format == "json":
-        text = json.dumps({"family": args.family, "n": n, "array": dense})
-    elif args.format == "csv":
-        text = csv_text
-    else:
-        text = "\n".join(" ".join(str(v) for v in row) for row in dense) or "(empty)"
-    _write_out(text, args.out)
-    return 0
+        a0 = args.family == "a0"
+        dense = g0021.dense_a0(tables) if a0 else g0021.dense_a1(tables)
+        cells, header = tables.g0 if a0 else tables.g1, "n,class,q,r,count"
+        key = f"{n},g{0 if a0 else 1}"
+    obj = {"family": args.family, "n": n, "array": dense}
+    rows = (f"{key},{a},{b},{v}" for (a, b), v in sorted(cells.items()))
+    plain = (" ".join(map(str, row)) for row in dense)
+    return _emit(args, obj, chain([header], rows), plain, "(empty)")
 
 
 def _cmd_coeffs(args, parser) -> int:
     # every series kind reads as its variables and sorted (exponents, coeff) terms
     data = build_closed_form(args.gf, args.order).to_json_dict()
-    if args.format == "json":
-        text = json.dumps(data)
-    elif args.format == "csv":
-        header = ",".join(data["variables"]) + ",coeff"
-        text = "\n".join([header] + [",".join(map(str, term)) for term in data["terms"]])
-    else:
-        text = "\n".join(
-            " ".join(map(str, exps)) + f" {Fraction(c)}" for *exps, c in data["terms"]
-        ) or "0"
-    _write_out(text, args.out)
-    return 0
+    header = ",".join(data["variables"]) + ",coeff"
+    rows = (",".join(map(str, term)) for term in data["terms"])
+    plain = (" ".join(map(str, exps)) + f" {Fraction(c)}" for *exps, c in data["terms"])
+    return _emit(args, data, chain([header], rows), plain, "0")
 
 
 def _cmd_verify(args, parser) -> int:
@@ -177,7 +153,7 @@ def _cmd_verify(args, parser) -> int:
     return 0 if report.passed else 1
 
 
-def _add_common(sub, *, patterns=False, n=False):
+def _add_common(sub, *, patterns=False, n=False, formats=("plain", "json", "csv")):
     if patterns:
         sub.add_argument(
             "--patterns",
@@ -187,7 +163,7 @@ def _add_common(sub, *, patterns=False, n=False):
         )
     if n:
         sub.add_argument("--n", type=int, required=True, help="sequence length")
-    sub.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    sub.add_argument("--format", choices=formats, default="plain")
     sub.add_argument("--out", metavar="PATH", help="write output to PATH atomically")
 
 
@@ -230,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("pair", "0021", "wilf", "all"), required=True)
     p.add_argument("--n-max", type=int, help="brute-force depth (default 12, wilf 11)")
     p.add_argument("--order", type=int, help="generating-function order (default 40)")
-    _add_common(p)
+    _add_common(p, formats=("plain", "json"))
     p.set_defaults(func=_cmd_verify)
 
     return parser

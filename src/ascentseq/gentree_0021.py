@@ -39,7 +39,6 @@ __all__ = [
     "triple_recurrence_levels",
     "dense_a0",
     "dense_a1",
-    "csv_rows",
 ]
 
 QUAD_PATTERN = (0, 0, 2, 1)
@@ -253,18 +252,3 @@ def dense_a1(tables: TripleLevelTables) -> list[list[int]]:
     return [
         [tables.value1(q, r) for r in range(1, side + 1)] for q in range(1, side + 1)
     ]
-
-
-def csv_rows(tables: TripleLevelTables) -> list[tuple[int, str, int, int, int]]:
-    """Nonzero entries of a level as (n, class, q, r, count) rows.
-
-    Classes are emitted in the order g0, g1, g2, each sorted by (q, r).
-    """
-    n = tables.n
-    rows: list[tuple[int, str, int, int, int]] = []
-    for (q, r) in sorted(tables.g0):
-        rows.append((n, "g0", q, r, tables.g0[(q, r)]))
-    for (q, r) in sorted(tables.g1):
-        rows.append((n, "g1", q, r, tables.g1[(q, r)]))
-    rows.append((n, "g2", tables.g2_q, 0, 1))
-    return rows

@@ -37,7 +37,6 @@ __all__ = [
     "pair_recurrence_levels",
     "cd_tables_from",
     "check_structure_relations",
-    "csv_rows",
 ]
 
 PAIR_PATTERNS = ((2, 0, 1), (2, 1, 0))
@@ -247,8 +246,3 @@ def check_structure_relations(levels: list[PairLevelTable]) -> list[RelationViol
             check("column_difference", n, (i,), c[i - 1], c[i - 2] - d[i - 2])
 
     return bad
-
-
-def csv_rows(table: PairLevelTable) -> list[tuple[int, int, int, int]]:
-    """Nonzero entries of a level as (n, p, q, count) rows, sorted by (p, q)."""
-    return [(table.n, p, q, table.g[(p, q)]) for (p, q) in sorted(table.g)]

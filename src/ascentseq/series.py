@@ -280,17 +280,12 @@ class MSeries:
 # Reference sequences
 # ---------------------------------------------------------------------------
 
-_CATALAN: list[int] = [1]
-
 
 def catalan(k: int) -> int:
-    """Catalan numbers by the convolution recurrence."""
+    """Catalan numbers, binom(2k, k) / (k + 1)."""
     if k < 0:
         raise ValueError("negative index")
-    while len(_CATALAN) <= k:
-        m = len(_CATALAN) - 1
-        _CATALAN.append(sum(_CATALAN[i] * _CATALAN[m - i] for i in range(m + 1)))
-    return _CATALAN[k]
+    return math.comb(2 * k, k) // (k + 1)
 
 
 def binom(n: int, k: int) -> int:

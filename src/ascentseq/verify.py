@@ -503,8 +503,6 @@ def crosscheck_0021(
         ratio += [(r, *m) for m in _mismatches(range(1, depth_cols + 1),
                                                lambda n: prod.coeff((n - 1,)),
                                                lambda n: t_next.coeff((n,)))]
-        if t_next.coeff((0,)) != 0:
-            ratio.append((r, 0, 0, t_next.coeff((0,))))
 
     return _report("0021", rows + [
         ("t0021.counts.simulation_vs_recurrence", f"n<={n_max}", sim_vs_recur),

@@ -234,3 +234,55 @@ overall: PASS
 def test_verify_all_text_is_pinned():
     argv = ["verify", "--suite", "all", "--n-max", "5", "--order", "12"]
     assert run(argv) == (0, VERIFY_ALL_TEXT)
+
+
+# `table --format csv` byte for byte: rows come straight from the level's cells
+TABLE_CSV = {
+    "pair": "n,p,q,g\n4,0,1,1\n4,0,2,5\n4,1,2,3\n4,1,3,1\n4,2,3,4\n4,3,4,1\n",
+    "a1": "n,class,q,r,count\n3,g1,1,1,1\n3,g1,1,2,1\n3,g1,2,1,1\n",
+}
+
+
+@pytest.mark.parametrize("family,n", [("pair", "4"), ("a1", "3")])
+def test_table_csv_is_pinned(family, n):
+    argv = ["table", "--family", family, "--n", n, "--format", "csv"]
+    assert run(argv) == (0, TABLE_CSV[family])
+
+
+def _is_json_object(text):
+    try:
+        return isinstance(json.loads(text), dict)
+    except ValueError:
+        return False
+
+
+# one invocation per subcommand, with its csv header (None: no csv format)
+SUBCOMMANDS = {
+    "count": (["count", "--patterns", "201,210", "--n", "5"], "patterns,n,method,count"),
+    "enumerate": (["enumerate", "--patterns", "0021", "--n", "3"], "sequence"),
+    "table-pair": (["table", "--family", "pair", "--n", "3"], "n,p,q,g"),
+    "table-a0": (["table", "--family", "a0", "--n", "4"], "n,class,q,r,count"),
+    "coeffs": (["coeffs", "--gf", "f", "--order", "4"], "z,coeff"),
+    "verify": (["verify", "--suite", "wilf", "--n-max", "3"], None),
+}
+
+
+@pytest.mark.parametrize(
+    "argv,header,fmt",
+    [pytest.param(argv, header, fmt, id=f"{name}-{fmt}")
+     for name, (argv, header) in SUBCOMMANDS.items()
+     for fmt in ("plain", "json", "csv") if header or fmt != "csv"],
+)
+def test_each_format_produces_that_format(argv, header, fmt):
+    code, out = run(argv + ["--format", fmt])
+    assert code == 0 and out.endswith("\n")
+    first = out.splitlines()[0]
+    assert _is_json_object(out) == (fmt == "json")
+    assert (first == header) == (fmt == "csv")
+
+
+def test_verify_rejects_csv():
+    argv = ["verify", "--suite", "wilf", "--n-max", "3", "--format", "csv"]
+    assert run(argv) == (2, "")
+    code, out = run(["verify", "--help"])
+    assert code == 0 and "{plain,json}" in out

@@ -187,14 +187,3 @@ def test_oracle_labels_match_rule():
                 label(a + (d,)) for d in core.valid_append_set(a, [gt.QUAD_PATTERN])
             )
             assert got == gt.triple_children(label(a)), a
-
-
-def test_csv_rows_schema():
-    rows = gt.csv_rows(gt.triple_recurrence_levels(3)[-1])
-    assert rows == [
-        (3, "g0", 1, 2, 1),
-        (3, "g1", 1, 1, 1),
-        (3, "g1", 1, 2, 1),
-        (3, "g1", 2, 1, 1),
-        (3, "g2", 4, 0, 1),
-    ]

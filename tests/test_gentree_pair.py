@@ -175,15 +175,3 @@ def test_oracle_labels_match_rule():
                 label(a + (d,)) for d in core.valid_append_set(a, gp.PAIR_PATTERNS)
             )
             assert got == gp.pair_children(label(a)), a
-
-
-def test_csv_rows_sorted_and_complete():
-    rows = gp.csv_rows(gp.pair_recurrence_levels(4)[-1])
-    assert rows == [
-        (4, 0, 1, 1),
-        (4, 0, 2, 5),
-        (4, 1, 2, 3),
-        (4, 1, 3, 1),
-        (4, 2, 3, 4),
-        (4, 3, 4, 1),
-    ]

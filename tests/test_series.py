@@ -377,3 +377,12 @@ def test_ring_axioms_randomized(triple):
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
+
+
+def test_catalan_matches_the_convolution_recurrence():
+    ref = [1]
+    for m in range(200):
+        ref.append(sum(ref[i] * ref[m - i] for i in range(m + 1)))
+    assert [catalan(k) for k in range(201)] == ref
+    with pytest.raises(ValueError):
+        catalan(-1)
