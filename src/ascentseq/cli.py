@@ -6,6 +6,11 @@ writes plain text or json, and --format csv is a usage error there.  Exit
 status is 0 on success, 1 when a verification suite fails, and 2 on
 usage errors.  Output goes to stdout or, with --out, is written to a file
 in one atomic replace.
+
+Each command imports only the pipeline it runs, when it runs, so brute
+force never loads a generating tree and coeffs loads only the series ring.
+Names are read from their defining modules at call time, so a patch or a
+wrapper put on such a module is the one that runs.
 """
 
 from __future__ import annotations
@@ -18,22 +23,7 @@ import tempfile
 from fractions import Fraction
 from itertools import chain
 
-from . import gentree_0021 as g0021
-from . import gentree_pair as gpair
-from .core import (
-    count_avoiders,
-    enumerate_avoiders,
-    format_sequence,
-    parse_patterns,
-)
-from .series import GF_NAMES, a007317, build_closed_form
-from .verify import (
-    _CLASSES,
-    combine_reports,
-    crosscheck_0021,
-    crosscheck_pair,
-    wilf_equivalence_check,
-)
+from .series import GF_NAMES  # the --gf choices, needed to build the parser
 
 
 def _write_out(text: str, out_path: str | None) -> None:
@@ -69,7 +59,9 @@ def _emit(args, obj, csv, plain, empty: str = "") -> int:
 
 def _count_by_method(patterns, n: int, method: str, parser) -> int:
     if method == "brute":
+        from .core import count_avoiders
         return count_avoiders(n, patterns)[n - 1]
+    from .verify import _CLASSES
     spec = _CLASSES.get(frozenset(patterns))
     if method in ("tree", "recurrence"):
         if spec is None or spec.simulate is None:
@@ -84,6 +76,7 @@ def _count_by_method(patterns, n: int, method: str, parser) -> int:
             f"method {method!r} is only available for the pattern sets "
             "201,210 and 0021 and 1012, whose counts have a closed form"
         )
+    from .series import a007317, build_closed_form
     if method == "formula":
         return a007317(n)
     return int(build_closed_form(spec.total_gf, n).coeff((n,)))
@@ -98,6 +91,7 @@ def _cmd_count(args, parser) -> int:
 
 
 def _cmd_enumerate(args, parser) -> int:
+    from .core import enumerate_avoiders, format_sequence
     seqs = [format_sequence(s) for s in enumerate_avoiders(args.n, args.patterns)]
     obj = {"patterns": args.patterns_text, "n": args.n, "sequences": seqs}
     return _emit(args, obj, chain(["sequence"], seqs), seqs)
@@ -106,9 +100,11 @@ def _cmd_enumerate(args, parser) -> int:
 def _cmd_table(args, parser) -> int:
     n = args.n
     if args.family == "pair":
+        from . import gentree_pair as gpair
         table = gpair.pair_recurrence_levels(n)[-1]
         dense, cells, header, key = table.dense(), table.g, "n,p,q,g", n
     else:
+        from . import gentree_0021 as g0021
         tables = g0021.triple_recurrence_levels(n)[-1]
         a0 = args.family == "a0"
         dense = g0021.dense_a0(tables) if a0 else g0021.dense_a1(tables)
@@ -121,6 +117,7 @@ def _cmd_table(args, parser) -> int:
 
 
 def _cmd_coeffs(args, parser) -> int:
+    from .series import build_closed_form
     # every series kind reads as its variables and sorted (exponents, coeff) terms
     data = build_closed_form(args.gf, args.order).to_json_dict()
     header = ",".join(data["variables"]) + ",coeff"
@@ -134,6 +131,7 @@ def _cmd_verify(args, parser) -> int:
         parser.error("--n-max must be at least 1")
     if args.suite == "wilf" and args.order is not None:
         parser.error("--order does not apply to --suite wilf, which has no series check")
+    from .verify import combine_reports, crosscheck_0021, crosscheck_pair, wilf_equivalence_check
     # pass only the flags given, so the defaults live in verify.py alone
     depth = {} if args.n_max is None else {"n_max": args.n_max}
     order = {} if args.order is None else {"gf_order": args.order}
@@ -216,6 +214,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "patterns", None) is not None:
+        from .core import parse_patterns
         args.patterns_text = args.patterns
         try:
             args.patterns = parse_patterns(args.patterns)

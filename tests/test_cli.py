@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
+import ascentseq
+from ascentseq import core, series
 from ascentseq import gentree_0021 as gt
 from ascentseq import gentree_pair as gp
 from ascentseq.cli import main
@@ -286,3 +291,109 @@ def test_verify_rejects_csv():
     assert run(argv) == (2, "")
     code, out = run(["verify", "--help"])
     assert code == 0 and "{plain,json}" in out
+
+
+# `coeffs --order 0`: the constant term of every closed form, as plain text
+ORDER_0_PLAIN = {
+    "C_pair": "0", "D_pair": "0", "C2": "0", "C_total_pair": "0", "C_0021": "0",
+    "D_0021": "0", "total_0021": "0", "f": "0 1", "g": "0 1",
+}
+
+
+def test_coeffs_order_0_is_the_constant_term():
+    assert sorted(ORDER_0_PLAIN) == sorted(series.GF_NAMES)
+    for gf, text in ORDER_0_PLAIN.items():
+        assert run(["coeffs", "--gf", gf, "--order", "0"]) == (0, text + "\n"), gf
+    argv = ["coeffs", "--gf", "C_pair", "--order", "0", "--format", "csv"]
+    assert run(argv) == (0, "x,y,coeff\n")
+    argv = ["coeffs", "--gf", "f", "--order", "0", "--format", "json"]
+    assert run(argv) == (0, '{"variables": ["z"], "order": 0, "terms": [[0, "1/1"]]}\n')
+    assert run(["coeffs", "--gf", "f", "--order", "-1"]) == (2, "")
+
+
+COUNT_METHODS = ("brute", "tree", "recurrence", "gf", "formula")
+
+
+def _plus_one_at_top(real):
+    """+1 on the t^order term of every one-variable closed form built."""
+
+    def wrong(name, order):
+        gf = real(name, order)
+        return gf + series.MSeries(gf.vars, order, {(order,): 1})
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "module, name, perturb, method",
+    [
+        (series, "a007317", lambda real: lambda n: real(n) + 1, "formula"),
+        (series, "build_closed_form", _plus_one_at_top, "gf"),
+        (gp, "simulate_pair_levels", lambda real: lambda n: real(n)[:-1], "tree"),
+        (gp, "pair_recurrence_levels", lambda real: lambda n: real(n)[:-1], "recurrence"),
+        (core, "count_avoiders", lambda real: lambda n, p: [c + 1 for c in real(n, p)], "brute"),
+    ],
+    ids=["formula", "gf", "tree", "recurrence", "brute"],
+)
+def test_each_method_runs_its_own_pipeline(monkeypatch, module, name, perturb, method):
+    argv = ["count", "--patterns", "201,210", "--n", "6", "--method"]
+    assert {run(argv + [m]) for m in COUNT_METHODS} == {(0, "188\n")}
+    monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    changed = {m for m in COUNT_METHODS if run(argv + [m]) != (0, "188\n")}
+    assert changed == {method}
+
+
+def _loaded_by(script, *args):
+    """The ascentseq modules a fresh interpreter holds after running script."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ascentseq.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script += "\nimport sys\nprint(*(m for m in sys.modules if m.split('.')[0] == 'ascentseq'))"
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+RUN_MAIN = """\
+import io, sys
+from contextlib import redirect_stdout
+from ascentseq.cli import main
+with redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])"""
+
+EVERY_MODULE = ("core", "gentree_pair", "gentree_0021", "series", "verify")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["count", "--patterns", "201,210", "--n", "5", "--method", "brute"], ("core", "series")),
+        (["enumerate", "--patterns", "0021", "--n", "4"], ("core", "series")),
+        (["coeffs", "--gf", "C_pair", "--order", "4"], ("series",)),
+        (["table", "--family", "pair", "--n", "4"], ("gentree_pair", "series")),
+        (["table", "--family", "a1", "--n", "4"], ("gentree_0021", "series")),
+        (["count", "--patterns", "0021", "--n", "5", "--method", "tree"], EVERY_MODULE),
+        (["verify", "--suite", "wilf", "--n-max", "3"], EVERY_MODULE),
+    ],
+    ids=["count-brute", "enumerate", "coeffs", "table-pair", "table-a1", "count-tree", "verify"],
+)
+def test_each_command_imports_only_its_pipeline(argv, loaded):
+    expected = {"ascentseq", "ascentseq.cli"} | {f"ascentseq.{m}" for m in loaded}
+    assert _loaded_by(RUN_MAIN, *argv) == expected
+
+
+def test_package_root_imports_submodules_on_first_use():
+    assert _loaded_by("import ascentseq") == {"ascentseq"}
+    assert ascentseq.verify.crosscheck_pair.__module__ == "ascentseq.verify"
+    with pytest.raises(AttributeError, match="'ascentseq' has no attribute 'nope'"):
+        getattr(ascentseq, "nope")
+    names = {}
+    exec("from ascentseq import *", names)
+    assert {k: v.__name__ for k, v in names.items() if k != "__builtins__"} == {
+        m: f"ascentseq.{m}" for m in EVERY_MODULE
+    }
