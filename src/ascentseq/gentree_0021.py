@@ -14,21 +14,20 @@ p in {q-2, q-1, q}, giving three succession rules:
     (q, q, r)   -> (q, q, r),     (i, i+1, q+r-1-i)   for i = 0..q-1,
                    (q, q, i)                          for i = 2..r
 
-rooted at (0, 2, 0).  Level counts are classified by the three cases into
-tables g0 (p = q), g1 (p = q-1), and the single g2 node (p = q-2) per
-level, mirrored by bottom-up recurrences.  The simulator expands each
-label it reaches once and pulls every level's counts along the recorded
-(parent, child) edges; the recurrences share nothing with it and run on
-running sums, at O(n^2) per level.
+rooted at (0, 2, 0).  The tree is grown by the `gentree` engine, and its
+level counts are classified by the three cases into tables g0 (p = q), g1
+(p = q-1), and the single g2 node (p = q-2) per level, mirrored by
+bottom-up recurrences that never read the rule and run on running sums,
+at O(n^2) per level.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterator, Sequence
+
+from .gentree import children, simulate
 
 __all__ = [
     "QUAD_PATTERN",
@@ -102,48 +101,44 @@ def _classify(label: tuple[int, int, int]) -> int:
     raise ValueError(f"invalid label {label}: p must be q-2, q-1 or q")
 
 
-def _rule(label: tuple[int, int, int]) -> Iterator[tuple[int, int, int]]:
+def _rule(label: tuple[int, int, int]) -> Iterator[tuple[tuple[int, int, int], int]]:
     """The succession rules, written once: each child label of a validated
-    label, repeated as often as it occurs."""
+    label with multiplicity 1, yielded as often as it occurs."""
     kind = _classify(label)
     p, q, r = label
     if kind == 2:
-        yield (q - 1, q + 1, 0)
+        yield (q - 1, q + 1, 0), 1
         for i in range(0, q - 1):
-            yield (i, i + 1, q - 1 - i)
+            yield (i, i + 1, q - 1 - i), 1
     elif kind == 1:
-        yield (q - 1, q, r)
+        yield (q - 1, q, r), 1
         for i in range(0, q - 1):
-            yield (i, i + 1, q + r - 1 - i)
+            yield (i, i + 1, q + r - 1 - i), 1
         for i in range(2, r + 2):
-            yield (q, q, i)
+            yield (q, q, i), 1
     else:
-        yield (q, q, r)
+        yield (q, q, r), 1
         for i in range(0, q):
-            yield (i, i + 1, q + r - 1 - i)
+            yield (i, i + 1, q + r - 1 - i), 1
         for i in range(2, r + 1):
-            yield (q, q, i)
+            yield (q, q, i), 1
 
 
 def triple_children(label: tuple[int, int, int]) -> Counter:
     """Multiset of child labels under the matching succession rule."""
-    return Counter(_rule(label))
+    return children(_rule, label)
 
 
-def _classify_level(
-    n: int, labels: dict[tuple[int, int, int], int]
-) -> TripleLevelTables:
+def _classify_level(n: int, labels: dict[tuple[int, int, int], int]) -> TripleLevelTables:
     g0: dict[tuple[int, int], int] = {}
     g1: dict[tuple[int, int], int] = {}
     g2 = []  # (q, count) of each (q-2, q, 0) label
     for (p, q, r), count in labels.items():
         kind = _classify((p, q, r))
-        if kind == 0:
-            g0[(q, r)] = g0.get((q, r), 0) + count
-        elif kind == 1:
-            g1[(q, r)] = g1.get((q, r), 0) + count
-        else:
+        if kind == 2:
             g2.append((q, count))
+        else:  # (q, r) and the kind determine the label
+            (g0, g1)[kind][(q, r)] = count
     if len(g2) != 1 or g2[0][1] != 1:
         raise ValueError(
             f"level {n}: expected one (q-2, q, 0) node with count 1, "
@@ -153,35 +148,11 @@ def _classify_level(
 
 
 def simulate_0021_levels(n_max: int) -> list[TripleLevelTables]:
-    """Classified label counts for levels 1..n_max, grown from the root.
-
-    Labels get ids in order of discovery.  Each label is expanded by the
-    rule once, on the first level where it has a nonzero count, and is
-    recorded as a parent of each child it yields, once per occurrence; a
-    level's count of a label is then the sum of its parents' counts one
-    level down.
-    """
-    if n_max < 1:
-        return []
-    labels = [(0, 2, 0)]  # id -> label
-    ids = {labels[0]: 0}
-    parents = [array("I")]  # id -> ids of its parents, one per edge
-    counts = [1]  # id -> count at the current level
-    out = [_classify_level(1, {labels[0]: 1})]
-    expanded = 0  # labels[:expanded] have been expanded
-    for n in range(2, n_max + 1):
-        # the labels first reached one level down, all with nonzero counts
-        fresh, expanded = range(expanded, len(labels)), len(labels)
-        for parent in fresh:
-            for child in _rule(labels[parent]):
-                if child not in ids:
-                    ids[child] = len(labels)
-                    labels.append(child)
-                    parents.append(array("I"))
-                parents[ids[child]].append(parent)
-        counts = [sum(map(counts.__getitem__, ps)) for ps in parents]
-        out.append(_classify_level(n, dict(compress(zip(labels, counts), counts))))
-    return out
+    """Classified label counts for levels 1..n_max, grown from the root."""
+    levels = simulate((0, 2, 0), _rule, n_max)
+    for n, labels in enumerate(levels, 1):  # in place, freeing each raw level
+        levels[n - 1] = _classify_level(n, labels)
+    return levels
 
 
 def triple_recurrence_levels(n_max: int) -> list[TripleLevelTables]:

@@ -7,24 +7,22 @@ all its one-step extensions, so the whole class is generated by the rule
 
     (p, q)  ->  (0, 1+q-p) taken p times,  (p, q),  (p+1, q+1), ..., (q, q+1)
 
-rooted at (0, 1).  This module simulates the tree level by level, computes
-the same level tables bottom-up from the label-count recurrence, derives
-the column sums c and diagonal entries d of a level array, and checks the
-seven cross-level identities on a list of level tables it is given.  Both
-pipelines return the list of levels 1..n; a caller wanting one level reads
-its last entry.  The simulator and the recurrence share nothing but the
-label type: the simulator expands each label it reaches once and pulls
-every level's counts along the recorded (parent, child) edges, and the
-recurrence runs on running sums, at O(n^2) per level.
+rooted at (0, 1).  This module grows the tree with the `gentree` engine,
+computes the same level tables bottom-up from the label-count recurrence,
+derives the column sums c and diagonal entries d of a level array, and
+checks the seven cross-level identities on a list of level tables it is
+given.  Both pipelines return the list of levels 1..n; a caller wanting
+one level reads its last entry.  The recurrence never reads the rule: it
+runs on running sums, at O(n^2) per level.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterator, Sequence
+
+from .gentree import children, simulate
 
 __all__ = [
     "PAIR_PATTERNS",
@@ -97,42 +95,12 @@ def _rule(label: tuple[int, int]) -> Iterator[tuple[tuple[int, int], int]]:
 
 def pair_children(label: tuple[int, int]) -> Counter:
     """Multiset of child labels under the succession rule."""
-    children: Counter = Counter()
-    for child, mult in _rule(label):
-        children[child] += mult
-    return children
+    return children(_rule, label)
 
 
 def simulate_pair_levels(n_max: int) -> list[PairLevelTable]:
-    """Label counts for levels 1..n_max by expanding the rule from the root.
-
-    Labels get ids in order of discovery.  Each label is expanded by the
-    rule once, on the first level where it has a nonzero count, and is
-    recorded as a parent of each child it yields, once per unit of
-    multiplicity; a level's count of a label is then the sum of its
-    parents' counts one level down.
-    """
-    if n_max < 1:
-        return []
-    labels = [(0, 1)]  # id -> label
-    ids = {labels[0]: 0}
-    parents = [array("I")]  # id -> ids of its parents, one per edge
-    counts = [1]  # id -> count at the current level
-    levels = [PairLevelTable(1, {labels[0]: 1})]
-    expanded = 0  # labels[:expanded] have been expanded
-    for n in range(2, n_max + 1):
-        # the labels first reached one level down, all with nonzero counts
-        fresh, expanded = range(expanded, len(labels)), len(labels)
-        for parent in fresh:
-            for child, mult in _rule(labels[parent]):
-                if child not in ids:
-                    ids[child] = len(labels)
-                    labels.append(child)
-                    parents.append(array("I"))
-                parents[ids[child]].extend([parent] * mult)
-        counts = [sum(map(counts.__getitem__, ps)) for ps in parents]
-        levels.append(PairLevelTable(n, dict(compress(zip(labels, counts), counts))))
-    return levels
+    """Label counts for levels 1..n_max, grown from the root by the rule."""
+    return [PairLevelTable(n, g) for n, g in enumerate(simulate((0, 1), _rule, n_max), 1)]
 
 
 def pair_recurrence_levels(n_max: int) -> list[PairLevelTable]:

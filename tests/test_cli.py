@@ -375,10 +375,11 @@ EVERY_MODULE = ("core", "gentree_pair", "gentree_0021", "series", "verify")
         (["count", "--patterns", "201,210", "--n", "5", "--method", "brute"], ("core", "series")),
         (["enumerate", "--patterns", "0021", "--n", "4"], ("core", "series")),
         (["coeffs", "--gf", "C_pair", "--order", "4"], ("series",)),
-        (["table", "--family", "pair", "--n", "4"], ("gentree_pair", "series")),
-        (["table", "--family", "a1", "--n", "4"], ("gentree_0021", "series")),
-        (["count", "--patterns", "0021", "--n", "5", "--method", "tree"], EVERY_MODULE),
-        (["verify", "--suite", "wilf", "--n-max", "3"], EVERY_MODULE),
+        (["table", "--family", "pair", "--n", "4"], ("gentree", "gentree_pair", "series")),
+        (["table", "--family", "a1", "--n", "4"], ("gentree", "gentree_0021", "series")),
+        (["count", "--patterns", "0021", "--n", "5", "--method", "tree"],
+         EVERY_MODULE + ("gentree",)),
+        (["verify", "--suite", "wilf", "--n-max", "3"], EVERY_MODULE + ("gentree",)),
     ],
     ids=["count-brute", "enumerate", "coeffs", "table-pair", "table-a1", "count-tree", "verify"],
 )

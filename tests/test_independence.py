@@ -1,31 +1,93 @@
 """The four counting pipelines stay independent: brute force imports no
 generating tree, the closed forms read no count table, the recurrences
 never call the simulator or the succession rule, and the simulators run
-the rule and call no recurrence."""
+the rule through the one engine, which names no tree and no recurrence.
+
+Every module of the package is held to a table of the package modules it
+may import, so a module added without an entry fails."""
 
 import ast
+import importlib
 import inspect
+import pathlib
 
 import pytest
 
-from ascentseq import core, gentree_0021, gentree_pair, series
+import ascentseq
+from ascentseq import core, gentree, gentree_0021, gentree_pair, series
+
+# module -> the package modules it imports, exactly
+ALLOWED_IMPORTS = {
+    "__init__": set(),
+    "core": set(),
+    "series": set(),
+    "gentree": set(),
+    "gentree_pair": {"gentree"},
+    "gentree_0021": {"gentree"},
+    "verify": {"core", "series", "gentree_pair", "gentree_0021"},
+    "cli": {"core", "series", "gentree_pair", "gentree_0021", "verify"},
+}
+
+MODULES = sorted(p.stem for p in pathlib.Path(ascentseq.__file__).parent.glob("*.py"))
 
 
 def _tree(module) -> ast.Module:
     return ast.parse(inspect.getsource(module))
 
 
-@pytest.mark.parametrize("module", [core, series, gentree_pair, gentree_0021])
-def test_pipeline_modules_import_no_package_module(module):
-    for node in ast.walk(_tree(module)):
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules an import statement of tree names."""
+    found = set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            assert node.level == 0, (module.__name__, node.module)
-            names = [node.module or ""]
+            assert node.level <= 1, node.module
+            path = node.module.split(".") if node.module else []
+            if node.level == 0:
+                if path[0] != "ascentseq":
+                    continue
+                path = path[1:]
+            found |= {path[0]} if path else {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        else:
-            continue
-        assert not any(n.split(".")[0] == "ascentseq" for n in names), module.__name__
+            for alias in node.names:
+                path = alias.name.split(".")
+                if path[0] == "ascentseq":
+                    found.add(path[1] if len(path) > 1 else "__init__")
+    return found
+
+
+@pytest.mark.parametrize("module", [core, series, gentree])
+def test_pipeline_modules_import_no_package_module(module):
+    # stated apart from the table, so that editing the table cannot loosen it
+    assert not _package_imports(_tree(module)), module.__name__
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_package_imports_match_the_table(name):
+    assert name in ALLOWED_IMPORTS, f"{name}.py has no entry in ALLOWED_IMPORTS"
+    module = importlib.import_module("ascentseq" if name == "__init__" else f"ascentseq.{name}")
+    assert _package_imports(_tree(module)) == ALLOWED_IMPORTS[name]
+
+
+def _named(module, function=None) -> set[str]:
+    """Every name and attribute read in module, or in one function of it."""
+    tree = _tree(module)
+    if function is not None:
+        tree = next(
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == function
+        )
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return named | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def test_engine_names_no_rule_recurrence_or_tree():
+    named = _named(gentree)
+    banned = {
+        n for n in named
+        if n == "_rule" or n.endswith("_recurrence_levels") or n.startswith("gentree_")
+    }
+    assert not banned, banned
 
 
 @pytest.mark.parametrize(
@@ -33,16 +95,9 @@ def test_pipeline_modules_import_no_package_module(module):
     [(gentree_pair, "pair_recurrence_levels"), (gentree_0021, "triple_recurrence_levels")],
 )
 def test_recurrences_name_neither_rule_nor_simulator(module, recurrence):
-    func = next(
-        node
-        for node in ast.walk(_tree(module))
-        if isinstance(node, ast.FunctionDef) and node.name == recurrence
-    )
-    named = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
-    named |= {n.attr for n in ast.walk(func) if isinstance(n, ast.Attribute)}
     banned = {
-        n for n in named
-        if n == "_rule" or n.startswith("simulate_") or n.endswith("_children")
+        n for n in _named(module, recurrence)
+        if n in ("_rule", "simulate") or n.startswith("simulate_") or n.endswith("_children")
     }
     assert not banned, (recurrence, banned)
 
@@ -52,13 +107,7 @@ def test_recurrences_name_neither_rule_nor_simulator(module, recurrence):
     [(gentree_pair, "simulate_pair_levels"), (gentree_0021, "simulate_0021_levels")],
 )
 def test_simulators_name_the_rule_and_no_recurrence(module, simulator):
-    func = next(
-        node
-        for node in ast.walk(_tree(module))
-        if isinstance(node, ast.FunctionDef) and node.name == simulator
-    )
-    named = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
-    named |= {n.attr for n in ast.walk(func) if isinstance(n, ast.Attribute)}
-    assert "_rule" in named, simulator
+    named = _named(module, simulator)
+    assert {"_rule", "simulate"} <= named, simulator
     banned = {n for n in named if n.endswith("_recurrence_levels")}
     assert not banned, (simulator, banned)
