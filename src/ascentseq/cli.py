@@ -20,25 +20,25 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 from itertools import chain
 
-from .series import GF_NAMES  # the --gf choices, needed to build the parser
+# series.GF_NAMES, named here so that building the parser loads no series
+GF_CHOICES = (
+    "C_pair", "D_pair", "C2", "C_total_pair", "C_0021", "D_0021", "total_0021", "f", "g",
+)
 
 
 def _write_out(text: str, out_path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ascentseq-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):
@@ -122,7 +122,8 @@ def _cmd_coeffs(args, parser) -> int:
     data = build_closed_form(args.gf, args.order).to_json_dict()
     header = ",".join(data["variables"]) + ",coeff"
     rows = (",".join(map(str, term)) for term in data["terms"])
-    plain = (" ".join(map(str, exps)) + f" {Fraction(c)}" for *exps, c in data["terms"])
+    # plain writes an integer coefficient without its "/1"
+    plain = (" ".join(map(str, term)).removesuffix("/1") for term in data["terms"])
     return _emit(args, data, chain([header], rows), plain, "0")
 
 
@@ -195,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table)
 
     p = subs.add_parser("coeffs", help="expand a closed-form generating function")
-    p.add_argument("--gf", choices=GF_NAMES, required=True)
+    p.add_argument("--gf", choices=GF_CHOICES, required=True)
     p.add_argument("--order", type=int, required=True, help="truncation order")
     _add_common(p)
     p.set_defaults(func=_cmd_coeffs)

@@ -331,9 +331,8 @@ def _walk(
     return counts
 
 
-# counts of the most recently counted pattern sets, least recent first
-_COUNT_CACHE: dict[tuple[Word, ...], list[int]] = {}
-_COUNT_CACHE_SIZE = 8
+# the last pattern set count_avoiders walked and its counts
+_LAST_COUNT: tuple[tuple[Word, ...], list[int]] = ((), [])
 
 
 def enumerate_avoiders(
@@ -353,19 +352,19 @@ def enumerate_avoiders(
 def count_avoiders(n_max: int, patterns: Iterable[Sequence[int]]) -> list[int]:
     """Sizes of the avoidance class for lengths 1..n_max.
 
-    Counting walks the extension tree without materialising the sequences;
-    results are cached for the last few pattern sets counted.
+    Counting walks the extension tree without materialising the sequences.
+    Only the last pattern set walked keeps its counts: a request for it at
+    the same or a smaller depth gets a copy, and any other request walks.
     """
+    global _LAST_COUNT
     if n_max < 1:
         return []
     B = _normalize_patterns(patterns)
-    cached = _COUNT_CACHE.pop(B, None)
-    if cached is None or len(cached) < n_max:
-        cached = _walk(n_max, B)[1:]
-    _COUNT_CACHE[B] = cached
-    if len(_COUNT_CACHE) > _COUNT_CACHE_SIZE:
-        del _COUNT_CACHE[next(iter(_COUNT_CACHE))]
-    return list(cached[:n_max])
+    last, counts = _LAST_COUNT
+    if last != B or len(counts) < n_max:
+        counts = _walk(n_max, B)[1:]
+        _LAST_COUNT = B, counts
+    return counts[:n_max]
 
 
 def visit_avoiders(

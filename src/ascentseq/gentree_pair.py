@@ -27,7 +27,6 @@ from .gentree import children, simulate
 __all__ = [
     "PAIR_PATTERNS",
     "PairLevelTable",
-    "CDTable",
     "RelationViolation",
     "pair_label_from_appendable",
     "pair_children",
@@ -56,15 +55,6 @@ class PairLevelTable:
     def dense(self) -> list[list[int]]:
         """n x n array with the (p, q) count in row p, column q-1."""
         return [[self.value(p, q) for q in range(1, self.n + 1)] for p in range(self.n)]
-
-
-@dataclass(frozen=True)
-class CDTable:
-    """Column sums c and diagonal entries d of one level array (1-indexed)."""
-
-    n: int
-    c: tuple[int, ...]
-    d: tuple[int, ...]
 
 
 def pair_label_from_appendable(
@@ -136,12 +126,12 @@ def pair_recurrence_levels(n_max: int) -> list[PairLevelTable]:
     return levels
 
 
-def cd_tables_from(table: PairLevelTable) -> CDTable:
-    """Column sums c_{n,i} and diagonals d_{n,i} = g(i-1, i) of a level."""
+def cd_tables_from(table: PairLevelTable) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(c, d): the column sums c_{n,i} and diagonals d_{n,i} = g(i-1, i), i = 1..n."""
     n = table.n
     c = tuple(sum(table.value(k, i) for k in range(i)) for i in range(1, n + 1))
     d = tuple(table.value(i - 1, i) for i in range(1, n + 1))
-    return CDTable(n, c, d)
+    return c, d
 
 
 @dataclass(frozen=True)
@@ -177,7 +167,7 @@ def check_structure_relations(levels: list[PairLevelTable]) -> list[RelationViol
             bad.append(RelationViolation(rel, n, where, lhs, rhs))
 
     for n, tab in enumerate(levels, 1):
-        c, d = cds[n - 1].c, cds[n - 1].d
+        c, d = cds[n - 1]
         check("corner_ones", n, (0, 1), tab.value(0, 1), 1)
         check("corner_ones", n, (1,), d[0], 1)
         check("corner_ones", n, (1,), c[0], 1)
@@ -187,7 +177,7 @@ def check_structure_relations(levels: list[PairLevelTable]) -> list[RelationViol
             if i != n - 1:
                 check("last_column_zero", n, (i, n), tab.value(i, n), 0)
         if n >= 2:
-            cp, dp = cds[n - 2].c, cds[n - 2].d
+            cp, dp = cds[n - 2]
             for i in range(2, n + 1):
                 prev_d = dp[i - 1] if i <= n - 1 else 0
                 prev_c = cp[i - 2]

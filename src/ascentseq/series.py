@@ -112,10 +112,6 @@ class MSeries:
                     del clean[e]
         self.terms = clean
 
-    @classmethod
-    def one(cls, variables: Sequence[str], order: int) -> "MSeries":
-        return cls(variables, order, {(0,) * len(tuple(variables)): 1})
-
     def coeff(self, exps: Exp) -> Fraction:
         e = tuple(exps)
         if len(e) != len(self.vars) or min(e) < 0:
@@ -249,15 +245,6 @@ class MSeries:
             le[i] = 0
             acc[tuple(le)] += c
         return self._wrap({e: Fraction(c, den) for e, c in acc.items() if c})
-
-    def diagonal(self) -> "MSeries":
-        """For a bivariate series, the series in z of equal-exponent
-        coefficients; reliable through half the truncation order."""
-        if len(self.vars) != 2:
-            raise ValueError("diagonal extraction needs a bivariate series")
-        return MSeries(
-            ("z",), self.order // 2, {(i,): c for (i, j), c in self.terms.items() if i == j}
-        )
 
     def __repr__(self) -> str:
         items = sorted(self.terms.items())[:6]

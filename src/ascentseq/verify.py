@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -73,7 +73,7 @@ class CheckRecord:
 @dataclass
 class VerificationReport:
     suite: str
-    records: list[CheckRecord] = field(default_factory=list)
+    records: list[CheckRecord]
 
     @property
     def passed(self) -> bool:
@@ -285,9 +285,11 @@ class _ClassSpec:
     total_note: str = ""  # detail of the passing total_vs_formula record
 
 
-def _pair_cells(cd: gpair.CDTable) -> tuple[dict, dict]:
+def _pair_cells(table: gpair.PairLevelTable) -> tuple[dict, dict]:
     """Column sums c and diagonals d of a pair level, keyed (i, n)."""
-    return tuple({(i, cd.n): v for i, v in enumerate(col, 1)} for col in (cd.c, cd.d))
+    return tuple(
+        {(i, table.n): v for i, v in enumerate(col, 1)} for col in gpair.cd_tables_from(table)
+    )
 
 
 _PAIR = _ClassSpec(
@@ -301,7 +303,7 @@ _PAIR = _ClassSpec(
     residuals=("pair_c", "pair_d"),
     residual_cap=30,
     cd_gf=("C_pair", "D_pair"),
-    cells=lambda t: _pair_cells(gpair.cd_tables_from(t)),
+    cells=_pair_cells,
 )
 _T0021 = _ClassSpec(
     "t0021",
@@ -422,15 +424,14 @@ def crosscheck_pair(
         golden += [(n, p, qi + 1) for p in range(n) for qi in range(n)
                    if dense[p][qi] != expected[p][qi]]
     depth = gf_order // 2
-    diag = C.diagonal()
     return _report("pair", rows + [
         ("pair.golden.level_arrays", f"n<={golden_hi}", golden),
         ("pair.relations.seven_identities", f"2<=n<={relations_max}",
          gpair.check_structure_relations(recur[:relations_max]),
          "all seven identities hold"),
         ("pair.gf.diagonal_ones", f"n<={depth}",
-         _mismatches(range(depth + 1), lambda n: diag.coeff((n,)),
-                     lambda n: int(n > 0))),  # 0 at z^0, 1 on every level
+         _mismatches(range(depth + 1), lambda n: C.coeff((n, n)),
+                     lambda n: int(n > 0))),  # 0 at x^0 y^0, 1 on every level
     ])
 
 
@@ -491,7 +492,7 @@ def crosscheck_0021(
     g = build_closed_form("g", depth_cols)
     zs = ("z",)
     first_expected = (
-        (f - MSeries.one(zs, depth_cols))
+        (f - MSeries(zs, depth_cols, {(0,): 1}))
         * MSeries(zs, depth_cols, {(0,): 1, (1,): -1}).invert_unit()
         * MSeries(zs, depth_cols, {(2,): 1})
     )

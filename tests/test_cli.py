@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
 import ascentseq
-from ascentseq import core, series
+from ascentseq import cli, core, series
 from ascentseq import gentree_0021 as gt
 from ascentseq import gentree_pair as gp
 from ascentseq.cli import main
@@ -150,6 +151,36 @@ F_ORDER_6 = {
 @pytest.mark.parametrize("fmt", sorted(F_ORDER_6))
 def test_coeffs_univariate_output_is_pinned(fmt):
     assert run(["coeffs", "--gf", "f", "--order", "6", "--format", fmt]) == (0, F_ORDER_6[fmt])
+
+
+# a three-variable series in plain text, where each exponent is its own column
+def test_coeffs_multivariate_plain_is_pinned():
+    assert run(["coeffs", "--gf", "D_0021", "--order", "5"]) == (0, "1 1 2 1\n1 1 3 1\n")
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [
+        ("plain", "0 0 -1/2\n0 2 5/21\n1 0 11\n"),
+        ("csv", "x,y,coeff\n0,0,-1/2\n0,2,5/21\n1,0,11/1\n"),
+    ],
+)
+def test_coeffs_writes_a_fraction_as_num_over_den(monkeypatch, fmt, text):
+    # no closed form has a non-integer coefficient, so one is patched in; a
+    # denominator ending in 1 keeps it, and an integer drops its "/1"
+    terms = {(1, 0): 11, (0, 0): Fraction(-1, 2), (0, 2): Fraction(5, 21)}
+
+    def built(order):
+        return series.MSeries(("x", "y"), order, terms)
+
+    monkeypatch.setitem(series._BUILDERS, "f", built)
+    assert run(["coeffs", "--gf", "f", "--order", "3", "--format", fmt]) == (0, text)
+
+
+def test_gf_choices_are_the_closed_forms():
+    # named in cli.py so that building the parser loads no series; the order
+    # is that of --help and of the invalid-choice error
+    assert cli.GF_CHOICES == series.GF_NAMES
 
 
 def test_coeffs_json_roundtrip():
@@ -362,6 +393,7 @@ def _loaded_by(script, *args):
 RUN_MAIN = """\
 import io, sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from ascentseq.cli import main
 with redirect_stdout(io.StringIO()):
     main(sys.argv[1:])"""
@@ -372,11 +404,11 @@ EVERY_MODULE = ("core", "gentree_pair", "gentree_0021", "series", "verify")
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        (["count", "--patterns", "201,210", "--n", "5", "--method", "brute"], ("core", "series")),
-        (["enumerate", "--patterns", "0021", "--n", "4"], ("core", "series")),
+        (["count", "--patterns", "201,210", "--n", "5", "--method", "brute"], ("core",)),
+        (["enumerate", "--patterns", "0021", "--n", "4"], ("core",)),
         (["coeffs", "--gf", "C_pair", "--order", "4"], ("series",)),
-        (["table", "--family", "pair", "--n", "4"], ("gentree", "gentree_pair", "series")),
-        (["table", "--family", "a1", "--n", "4"], ("gentree", "gentree_0021", "series")),
+        (["table", "--family", "pair", "--n", "4"], ("gentree", "gentree_pair")),
+        (["table", "--family", "a1", "--n", "4"], ("gentree", "gentree_0021")),
         (["count", "--patterns", "0021", "--n", "5", "--method", "tree"],
          EVERY_MODULE + ("gentree",)),
         (["verify", "--suite", "wilf", "--n-max", "3"], EVERY_MODULE + ("gentree",)),

@@ -203,18 +203,35 @@ def test_counts_monotone():
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
-def test_count_cache_is_bounded_and_unaliased(monkeypatch):
-    monkeypatch.setattr(core, "_COUNT_CACHE", {})
-    sets = [[(0,) * k] for k in range(2, 2 + core._COUNT_CACHE_SIZE + 3)]
-    first = [core.count_avoiders(6, B) for B in sets]
-    assert len(core._COUNT_CACHE) == core._COUNT_CACHE_SIZE
-    assert [core.count_avoiders(6, B) for B in sets] == first
-    assert len(core._COUNT_CACHE) <= core._COUNT_CACHE_SIZE
-    got = core.count_avoiders(6, sets[-1])
+def test_count_memo_holds_one_set_unaliased(monkeypatch):
+    real = core._walk
+    walks = []
+
+    def counted(n_max, patterns, visit=None):
+        walks.append((n_max, patterns))
+        return real(n_max, patterns, visit)
+
+    monkeypatch.setattr(core, "_LAST_COUNT", ((), []))
+    monkeypatch.setattr(core, "_walk", counted)
+    a, b = ((0, 0, 2, 1),), ((0, 0, 0),)
+    first = core.count_avoiders(6, a)
+    assert first == [1, 2, 5, 15, 51, 188]
+    assert core.count_avoiders(6, b) == [1, 2, 4, 10, 27, 83]
+    # b replaced a, so a walks again
+    assert core.count_avoiders(6, a) == first
+    assert walks == [(6, a), (6, b), (6, a)]
+    # a shallower request reads the memo, a deeper one walks
+    assert core.count_avoiders(3, a) == first[:3]
+    assert len(walks) == 3
+    deeper = core.count_avoiders(7, a)
+    assert deeper[:6] == first and walks[-1] == (7, a)
+    # a caller that mutates what it got leaves the memo intact
+    got = core.count_avoiders(7, a)
     got[0] = -1
     got.append(99)
-    assert core.count_avoiders(6, sets[-1]) == first[-1]
-    assert core.count_avoiders(3, sets[-1]) == first[-1][:3]
+    assert core.count_avoiders(7, a) == deeper
+    assert core.count_avoiders(5, a) == deeper[:5]
+    assert len(walks) == 4
 
 
 def test_count_with_no_patterns_gives_all_ascent_sequences():
@@ -278,7 +295,7 @@ RANDOM_PATTERN_SETS = [
 def test_walk_matches_naive_oracle_on_random_pattern_sets(monkeypatch, text):
     # at n = 1 and 2 counting and enumerating push no word; patterns of
     # length 5 are longer than the shortest words
-    monkeypatch.setattr(core, "_COUNT_CACHE", {})
+    monkeypatch.setattr(core, "_LAST_COUNT", ((), []))
     B = core.parse_patterns(text)
     upto = []  # the avoiders of every length up to n
     for n in range(1, 8):
@@ -305,7 +322,7 @@ def test_count_enumerate_and_visit_agree_at_8_and_9(monkeypatch, text):
     # past the naive oracle's reach: counting takes the popcount of each
     # deepest word's mask, enumerating lists its set bits, and visiting
     # reads the length-n words' masks in their parents' kid loops
-    monkeypatch.setattr(core, "_COUNT_CACHE", {})
+    monkeypatch.setattr(core, "_LAST_COUNT", ((), []))
     B = core.parse_patterns(text)
     for n in (8, 9):
         visited = [0]
@@ -343,7 +360,7 @@ def test_walk_pushes_only_the_words_it_descends_below(monkeypatch):
         return real(self, d)
 
     monkeypatch.setattr(core._PatternTracker, "push", push)
-    monkeypatch.setattr(core, "_COUNT_CACHE", {})
+    monkeypatch.setattr(core, "_LAST_COUNT", ((), []))
     for B in CLASSES:
         for n in range(1, 9):
             pushes[0] = 0
@@ -441,7 +458,7 @@ def test_broken_done_stacks_miscount(monkeypatch, fault):
     # 0021: on 201,210 and 1012 each closing mask stacked by a walk holds the
     # ones below it, so only the leaky undo shows there
     B = [(0, 0, 2, 1)]
-    monkeypatch.setattr(core, "_COUNT_CACHE", {})
+    monkeypatch.setattr(core, "_LAST_COUNT", ((), []))
     fault(monkeypatch)
     counts = core.count_avoiders(8, B)
     assert counts != [series.a007317(n) for n in range(1, 9)]

@@ -129,20 +129,17 @@ def test_label_q_bounded_by_level():
 
 
 def test_cd_tables_examples():
-    cd5 = cd_tables(5)
-    assert cd5.c == (1, 23, 19, 7, 1)
-    assert cd5.d == (1, 4, 12, 6, 1)
-    cd1 = cd_tables(1)
-    assert cd1.c == (1,) and cd1.d == (1,)
-    cd7 = cd_tables(7)
-    assert cd7.c[1] == 262 and cd7.d[2] == 109
+    assert cd_tables(5) == ((1, 23, 19, 7, 1), (1, 4, 12, 6, 1))
+    assert cd_tables(1) == ((1,), (1,))
+    c7, d7 = cd_tables(7)
+    assert c7[1] == 262 and d7[2] == 109
 
 
 def test_diagonal_le_column_sum_and_corners():
     for n in range(1, 13):
-        cd = cd_tables(n)
-        assert all(d <= c for c, d in zip(cd.c, cd.d))
-        assert cd.c[-1] == cd.d[-1] == 1
+        cs, ds = cd_tables(n)
+        assert all(d <= c for c, d in zip(cs, ds))
+        assert cs[-1] == ds[-1] == 1
 
 
 def test_structure_relations_hold_to_15():
@@ -151,8 +148,8 @@ def test_structure_relations_hold_to_15():
 
 def test_structure_relations_spot_values():
     # column_difference at n=4, i=3: c = 8 - 3 = 5
-    cd4 = cd_tables(4)
-    assert cd4.c[2] == cd4.c[1] - cd4.d[1] == 5
+    c4, d4 = cd_tables(4)
+    assert c4[2] == c4[1] - d4[1] == 5
     # interior_shift at n=7: g(1,3) = g(3,4) = 94
     t7 = gp.pair_recurrence_levels(7)[-1]
     assert t7.value(1, 3) == t7.value(3, 4) == 94

@@ -14,7 +14,7 @@ import pathlib
 import pytest
 
 import ascentseq
-from ascentseq import core, gentree, gentree_0021, gentree_pair, series
+from ascentseq import cli, core, gentree, gentree_0021, gentree_pair, series
 
 # module -> the package modules it imports, exactly
 ALLOWED_IMPORTS = {
@@ -59,6 +59,24 @@ def _package_imports(tree: ast.Module) -> set[str]:
 def test_pipeline_modules_import_no_package_module(module):
     # stated apart from the table, so that editing the table cannot loosen it
     assert not _package_imports(_tree(module)), module.__name__
+
+
+def test_front_end_module_scope_imports_no_pipeline():
+    # cli.py names the --gf choices itself, so building the parser loads no
+    # package module; each command imports its own, held to the table above
+    top = ast.Module(
+        [node for node in _tree(cli).body
+         if not isinstance(node, (ast.FunctionDef, ast.ClassDef))],
+        [],
+    )
+    assert not _package_imports(top)
+    imported = set()
+    for node in ast.walk(top):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert "fractions" not in imported, imported
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -214,7 +214,7 @@ def test_verify_all_walks_0021_once(monkeypatch):
             walks.append(patterns)
         return real(n_max, patterns, visit)
 
-    monkeypatch.setattr(core, "_COUNT_CACHE", {})
+    monkeypatch.setattr(core, "_LAST_COUNT", ((), []))
     monkeypatch.setattr(core, "_walk", counted)
     with redirect_stdout(io.StringIO()):
         code = main(["verify", "--suite", "all", "--n-max", "6", "--order", "12"])
