@@ -7,8 +7,9 @@ status is 0 on success, 1 when a verification suite fails, and 2 on
 usage errors.  Output goes to stdout or, with --out, is written to a file
 in one atomic replace.
 
-Each command imports only the pipeline it runs, when it runs, so brute
-force never loads a generating tree and coeffs loads only the series ring.
+Each command imports its pipeline when it runs, so brute force never
+loads a generating tree and coeffs loads only the series ring; the counts
+that read the class table in verify load every pipeline with it.
 Names are read from their defining modules at call time, so a patch or a
 wrapper put on such a module is the one that runs.
 """
@@ -132,7 +133,9 @@ def _cmd_verify(args, parser) -> int:
         parser.error("--n-max must be at least 1")
     if args.suite == "wilf" and args.order is not None:
         parser.error("--order does not apply to --suite wilf, which has no series check")
-    from .verify import combine_reports, crosscheck_0021, crosscheck_pair, wilf_equivalence_check
+    from .verify import (
+        DepthError, combine_reports, crosscheck_0021, crosscheck_pair, wilf_equivalence_check,
+    )
     # pass only the flags given, so the defaults live in verify.py alone
     depth = {} if args.n_max is None else {"n_max": args.n_max}
     order = {} if args.order is None else {"gf_order": args.order}
@@ -142,7 +145,7 @@ def _cmd_verify(args, parser) -> int:
             reports.append(crosscheck_pair(**depth, **order))
         if args.suite in ("0021", "all"):
             reports.append(crosscheck_0021(**depth, **order))
-    except ValueError as exc:  # --order below the effective --n-max
+    except DepthError as exc:  # --order below the effective --n-max
         parser.error(str(exc))
     if args.suite in ("wilf", "all"):
         reports.append(wilf_equivalence_check(**depth))

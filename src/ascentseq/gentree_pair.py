@@ -65,17 +65,12 @@ def pair_label_from_appendable(
     return appendable.index(seq[-1]), len(appendable) - 1
 
 
-def _check_label(label: tuple[int, int]) -> tuple[int, int]:
+def _rule(label: tuple[int, int]) -> Iterator[tuple[tuple[int, int], int]]:
+    """The succession rule, written once: each child label of a label with
+    its multiplicity.  A label off 0 <= p < q raises ValueError."""
     p, q = label
     if not 0 <= p < q:
         raise ValueError(f"invalid label {label}: need 0 <= p < q")
-    return p, q
-
-
-def _rule(label: tuple[int, int]) -> Iterator[tuple[tuple[int, int], int]]:
-    """The succession rule, written once: each child label of a validated
-    label with its multiplicity."""
-    p, q = _check_label(label)
     if p:
         yield (0, 1 + q - p), p
     yield (p, q), 1

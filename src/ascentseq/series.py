@@ -38,7 +38,6 @@ from typing import Iterable, Mapping, Sequence, Union
 __all__ = [
     "MSeries",
     "catalan",
-    "binom",
     "a007317",
     "GF_NAMES",
     "RESIDUAL_NAMES",
@@ -107,9 +106,7 @@ class MSeries:
                 continue
             c = Fraction(c)
             if c:
-                clean[e] = clean.get(e, F0) + c
-                if not clean[e]:
-                    del clean[e]
+                clean[e] = c
         self.terms = clean
 
     def coeff(self, exps: Exp) -> Fraction:
@@ -275,18 +272,12 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
-def binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def a007317(n: int) -> int:
     """Binomial convolution of the Catalan numbers (OEIS A007317):
     sum over k of C(n-1, k) * catalan(k), for n >= 1."""
     if n < 1:
         raise ValueError("index must be at least 1")
-    return sum(binom(n - 1, k) * catalan(k) for k in range(n))
+    return sum(math.comb(n - 1, k) * catalan(k) for k in range(n))
 
 
 # ---------------------------------------------------------------------------

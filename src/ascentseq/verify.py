@@ -15,8 +15,8 @@ written once from the class table.  Each suite returns its records as rows
 the records.
 
 A tree suite takes the brute-force depth n_max >= 1, the series order
-gf_order >= max(n_max, 2) and the label-oracle depth oracle_max >= 1;
-every other depth follows from them:
+gf_order >= max(n_max, 2) and the label-oracle depth oracle_max >= 1, and
+raises DepthError on any other; every other depth follows from them:
 
 - pentagon, 0021 simulation vs recurrence: n <= n_max;
 - pair golden arrays: n <= min(n_max, 7); 0021 golden arrays: n <= 8,
@@ -48,6 +48,7 @@ from .series import MSeries, a007317, build_closed_form, residual
 __all__ = [
     "CheckRecord",
     "VerificationReport",
+    "DepthError",
     "GOLDEN_PAIR_ARRAYS",
     "GOLDEN_A0_ARRAYS",
     "GOLDEN_A1_ARRAYS",
@@ -79,18 +80,14 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "records": [
-                {"id": r.check_id, "scope": r.scope, "status": r.status, "detail": r.detail}
-                for r in self.records
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        records = [
+            {"id": r.check_id, "scope": r.scope, "status": r.status, "detail": r.detail}
+            for r in self.records
+        ]
+        return json.dumps(
+            {"suite": self.suite, "passed": self.passed, "records": records}, indent=2
+        )
 
     def to_text(self) -> str:
         lines = [f"suite: {self.suite}"]
@@ -101,6 +98,10 @@ class VerificationReport:
             lines.append(line)
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
+
+
+class DepthError(ValueError):
+    """A suite depth out of range, raised before any pipeline runs."""
 
 
 def combine_reports(reports: list[VerificationReport]) -> VerificationReport:
@@ -342,15 +343,15 @@ def _tree_rows(spec: _ClassSpec, n_max, gf_order, oracle_max):
     and the C and D closed forms.
     """
     if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+        raise DepthError("n_max must be at least 1")
     if oracle_max < 1:
-        raise ValueError("oracle_max must be at least 1")
+        raise DepthError("oracle_max must be at least 1")
     if gf_order < n_max:
         # the gf checks cover levels up to gf_order // 2, the counts n_max
-        raise ValueError(f"gf_order {gf_order} must be at least n_max {n_max}")
+        raise DepthError(f"gf_order {gf_order} must be at least n_max {n_max}")
     if gf_order < 2:
         # below 2 the gf records would check no level and still pass
-        raise ValueError(f"gf_order {gf_order} must be at least 2")
+        raise DepthError(f"gf_order {gf_order} must be at least 2")
     name = spec.name
     recur_max = max(n_max, 20)
     residual_order = min(gf_order, spec.residual_cap)

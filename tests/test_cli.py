@@ -219,6 +219,31 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(count + [str(tmp_path)])[0] == 2
 
 
+def _with_extra_child(real, parent, extra):
+    """The succession rule real, but parent also has the child extra."""
+
+    def wrong(label):
+        yield from real(label)
+        if label == parent:
+            yield extra, 1
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "module, parent, extra, suite",
+    [(gt, (1, 3, 0), (3, 5, 0), "0021"), (gp, (0, 2), (3, 2), "pair")],
+    ids=["0021", "pair"],
+)
+def test_a_wrong_rule_is_no_usage_error(monkeypatch, module, parent, extra, suite):
+    monkeypatch.setattr(module, "_rule", _with_extra_child(module._rule, parent, extra))
+    try:
+        code = run(["verify", "--suite", suite, "--n-max", "5", "--order", "10"])[0]
+    except ValueError:  # uncaught, the error exits 1
+        code = 1
+    assert code == 1
+
+
 def test_out_file_written_atomically(tmp_path):
     target = tmp_path / "out.txt"
     code, out = run(
