@@ -6,16 +6,16 @@ expansion — all counting the same avoidance classes, with a verification
 harness that cross-checks them against the binomial convolution of the
 Catalan numbers (OEIS A007317).
 
-`import ascentseq` loads no submodule: each one is imported on first use,
-as `ascentseq.verify`, `from ascentseq import series` or `from ascentseq
-import *`, so a process pays only for the pipelines it runs.
+`import ascentseq` loads no submodule: each one but the front end `cli` is
+imported on first use, as `ascentseq.verify`, `from ascentseq import series`
+or `from ascentseq import *`, so a process pays only for what it runs.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-__all__ = ["core", "gentree_pair", "gentree_0021", "series", "verify"]
+__all__ = ["core", "gentree", "gentree_pair", "gentree_0021", "series", "verify"]
 
 
 def __getattr__(name: str):

@@ -7,11 +7,11 @@ status is 0 on success, 1 when a verification suite fails, and 2 on
 usage errors.  Output goes to stdout or, with --out, is written to a file
 in one atomic replace.
 
-Each command imports its pipeline when it runs, so brute force never
-loads a generating tree and coeffs loads only the series ring; the counts
-that read the class table in verify load every pipeline with it.
-Names are read from their defining modules at call time, so a patch or a
-wrapper put on such a module is the one that runs.
+Each command imports its pipeline when it runs: count loads core and, for
+its method, one tree module or the series ring; table loads one tree
+module, coeffs only the series ring, and verify every pipeline.  Names are
+read from their defining modules at call time, so a patch or a wrapper put
+on such a module is the one that runs.
 """
 
 from __future__ import annotations
@@ -27,6 +27,13 @@ from itertools import chain
 GF_CHOICES = (
     "C_pair", "D_pair", "C2", "C_total_pair", "C_0021", "D_0021", "total_0021", "f", "g",
 )
+# the pattern sets counted by A007317, each with the closed form of its total;
+# the first two grow a generating tree, and none is known for 1012
+PAIR_SET = frozenset({(2, 0, 1), (2, 1, 0)})
+SET_0021 = frozenset({(0, 0, 2, 1)})
+TOTAL_GF = {
+    PAIR_SET: "C_total_pair", SET_0021: "total_0021", frozenset({(1, 0, 1, 2)}): "total_0021",
+}
 
 
 def _write_out(text: str, out_path: str | None) -> None:
@@ -36,10 +43,15 @@ def _write_out(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
+    umask = os.umask(0)
+    os.umask(umask)
+    # mkstemp makes the file 0600; give it the mode open(out_path, "w") would
+    mode = os.stat(out_path).st_mode & 0o777 if os.path.exists(out_path) else 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ascentseq-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):
@@ -62,17 +74,21 @@ def _count_by_method(patterns, n: int, method: str, parser) -> int:
     if method == "brute":
         from .core import count_avoiders
         return count_avoiders(n, patterns)[n - 1]
-    from .verify import _CLASSES
-    spec = _CLASSES.get(frozenset(patterns))
+    key = frozenset(patterns)
     if method in ("tree", "recurrence"):
-        if spec is None or spec.simulate is None:
+        if key == PAIR_SET:
+            from . import gentree_pair as tree
+            grow = tree.simulate_pair_levels if method == "tree" else tree.pair_recurrence_levels
+        elif key == SET_0021:
+            from . import gentree_0021 as tree
+            grow = tree.simulate_0021_levels if method == "tree" else tree.triple_recurrence_levels
+        else:
             parser.error(
                 f"method {method!r} needs a generating tree; available for "
                 "pattern sets 201,210 and 0021 only"
             )
-        levels = spec.simulate(n) if method == "tree" else spec.recurrence(n)
-        return levels[-1].total()
-    if spec is None:
+        return grow(n)[-1].total()
+    if key not in TOTAL_GF:
         parser.error(
             f"method {method!r} is only available for the pattern sets "
             "201,210 and 0021 and 1012, whose counts have a closed form"
@@ -80,7 +96,7 @@ def _count_by_method(patterns, n: int, method: str, parser) -> int:
     from .series import a007317, build_closed_form
     if method == "formula":
         return a007317(n)
-    return int(build_closed_form(spec.total_gf, n).coeff((n,)))
+    return int(build_closed_form(TOTAL_GF[key], n).coeff((n,)))
 
 
 def _cmd_count(args, parser) -> int:

@@ -10,9 +10,9 @@ definition agreement of child labels for every small avoider.  Checks
 report their first counterexample instead of raising, and a suite passes
 only if every record passes.  The tree modules hand out level lists only;
 the records shared by both trees, the gf coefficients among them, are
-written once from the class table.  Each suite returns its records as rows
-(id, scope, failures[, note]), and one runner, `_report`, makes and sorts
-the records.
+written once from a class spec that each tree suite builds from its tree
+module when it runs.  Each suite returns its records as rows (id, scope,
+failures[, note]), and one runner, `_report`, makes and sorts the records.
 
 A tree suite takes the brute-force depth n_max >= 1, the series order
 gf_order >= max(n_max, 2) and the label-oracle depth oracle_max >= 1, and
@@ -262,69 +262,27 @@ GOLDEN_A1_ARRAYS: dict[int, list[list[int]]] = {
 
 
 # ---------------------------------------------------------------------------
-# The supported classes: which pipeline counts which
+# The pipelines of one class, and the rows both tree suites write alike
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _ClassSpec:
-    """The pipelines of one avoidance class counted by A007317.  Its
-    functions look their targets up in their modules at call time, so a
-    wrapper or a patch put on a module after import is the one that runs."""
+    """The pipelines of one avoidance class counted by A007317."""
 
     name: str  # prefix of the check ids
     patterns: tuple[tuple[int, ...], ...]
-    simulate: Callable[[int], list] | None  # levels 1..n of the tree
-    recurrence: Callable[[int], list] | None
-    label: Callable | None  # (avoider, its appendable digits) -> label
-    children: Callable | None  # label -> Counter of child labels
+    simulate: Callable[[int], list]  # levels 1..n of the tree
+    recurrence: Callable[[int], list]
+    label: Callable  # (avoider, its appendable digits) -> label
+    children: Callable  # label -> Counter of child labels
     total_gf: str  # closed form whose t^n coefficient counts length n
-    residuals: tuple[str, ...] = ()  # the C and D functional equations
-    residual_cap: int = 0  # residual order: min(gf_order, cap)
-    cd_gf: tuple[str, ...] = ()  # the C and D closed forms of the tree
-    cells: Callable | None = None  # level -> its C and D cells by exponent
+    residuals: tuple[str, ...]  # the C and D functional equations
+    residual_cap: int  # residual order: min(gf_order, cap)
+    cd_gf: tuple[str, ...]  # the C and D closed forms of the tree
+    cells: Callable  # level -> its C and D cells by exponent
     total_note: str = ""  # detail of the passing total_vs_formula record
 
-
-def _pair_cells(table: gpair.PairLevelTable) -> tuple[dict, dict]:
-    """Column sums c and diagonals d of a pair level, keyed (i, n)."""
-    return tuple(
-        {(i, table.n): v for i, v in enumerate(col, 1)} for col in gpair.cd_tables_from(table)
-    )
-
-
-_PAIR = _ClassSpec(
-    "pair",
-    gpair.PAIR_PATTERNS,
-    simulate=lambda n: gpair.simulate_pair_levels(n),
-    recurrence=lambda n: gpair.pair_recurrence_levels(n),
-    label=lambda seq, appendable: gpair.pair_label_from_appendable(seq, appendable),
-    children=lambda label: gpair.pair_children(label),
-    total_gf="C_total_pair",
-    residuals=("pair_c", "pair_d"),
-    residual_cap=30,
-    cd_gf=("C_pair", "D_pair"),
-    cells=_pair_cells,
-)
-_T0021 = _ClassSpec(
-    "t0021",
-    (g0021.QUAD_PATTERN,),
-    simulate=lambda n: g0021.simulate_0021_levels(n),
-    recurrence=lambda n: g0021.triple_recurrence_levels(n),
-    label=lambda seq, appendable: g0021.triple_label_from_appendable(seq, appendable),
-    children=lambda label: g0021.triple_children(label),
-    total_gf="total_0021",
-    residuals=("t0021_c", "t0021_d"),
-    residual_cap=25,
-    cd_gf=("C_0021", "D_0021"),
-    # g0 and g1 of the level, keyed (q, r, n)
-    cells=lambda t: tuple({(*k, t.n): v for k, v in g.items()} for g in (t.g0, t.g1)),
-    total_note="matches the pair-class closed form coefficientwise",
-)
-# no generating tree is known for 1012; the class shares the 0021 total
-_C1012 = _ClassSpec("1012", ((1, 0, 1, 2),), None, None, None, None, "total_0021")
-
-_CLASSES = {frozenset(c.patterns): c for c in (_PAIR, _T0021, _C1012)}
 
 _TOTAL_MAX = 40  # the total_vs_formula records read the closed forms alone
 
@@ -416,7 +374,20 @@ def crosscheck_pair(
     the published level arrays and the seven structural identities are
     replayed; the functional-equation residuals must vanish.
     """
-    rows, _, _, recur, C, _ = _tree_rows(_PAIR, n_max, gf_order, oracle_max)
+    pair = _ClassSpec(
+        "pair", gpair.PAIR_PATTERNS, gpair.simulate_pair_levels, gpair.pair_recurrence_levels,
+        label=gpair.pair_label_from_appendable,
+        children=gpair.pair_children,
+        total_gf="C_total_pair",
+        residuals=("pair_c", "pair_d"),
+        residual_cap=30,
+        cd_gf=("C_pair", "D_pair"),
+        # column sums c and diagonals d of a level, keyed (i, n)
+        cells=lambda t: tuple(
+            {(i, t.n): v for i, v in enumerate(col, 1)} for col in gpair.cd_tables_from(t)
+        ),
+    )
+    rows, _, _, recur, C, _ = _tree_rows(pair, n_max, gf_order, oracle_max)
     relations_max = max(n_max, 15)
     golden_hi = min(n_max, max(GOLDEN_PAIR_ARRAYS))
     golden = []
@@ -457,7 +428,20 @@ def crosscheck_0021(
     row-shift structure, the single-increasing-node convention, and the
     column-structure relations through f(z) and g(z).
     """
-    rows, recur_max, sim, recur, C, D = _tree_rows(_T0021, n_max, gf_order, oracle_max)
+    t0021 = _ClassSpec(
+        "t0021", (g0021.QUAD_PATTERN,), g0021.simulate_0021_levels,
+        g0021.triple_recurrence_levels,
+        label=g0021.triple_label_from_appendable,
+        children=g0021.triple_children,
+        total_gf="total_0021",
+        residuals=("t0021_c", "t0021_d"),
+        residual_cap=25,
+        cd_gf=("C_0021", "D_0021"),
+        # g0 and g1 of a level, keyed (q, r, n)
+        cells=lambda t: tuple({(*k, t.n): v for k, v in g.items()} for g in (t.g0, t.g1)),
+        total_note="matches the pair-class closed form coefficientwise",
+    )
+    rows, recur_max, sim, recur, C, D = _tree_rows(t0021, n_max, gf_order, oracle_max)
 
     sim_vs_recur = [(n,) for n, s, r in zip(range(1, n_max + 1), sim, recur)
                     if (s.g0, s.g1, s.g2_q) != (r.g0, r.g1, r.g2_q)]
@@ -541,8 +525,8 @@ def wilf_equivalence_check(n_max: int = 11) -> VerificationReport:
     classes, both counted by the Catalan convolution."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    counts_0021 = count_avoiders(n_max, _T0021.patterns)
-    counts_1012 = count_avoiders(n_max, _C1012.patterns)
+    counts_0021 = count_avoiders(n_max, (g0021.QUAD_PATTERN,))
+    counts_1012 = count_avoiders(n_max, ((1, 0, 1, 2),))
     ns = range(1, n_max + 1)
     return _report("wilf", [
         ("wilf.counts.equal", f"n<={n_max}",

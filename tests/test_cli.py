@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -51,11 +52,28 @@ def test_count_1012_formula_and_gf():
         assert (code, out.strip()) == (0, "731")
 
 
-def test_count_method_availability_errors():
-    code, _ = run(["count", "--patterns", "1012", "--n", "5", "--method", "tree"])
-    assert code == 2
-    code, _ = run(["count", "--patterns", "010", "--n", "5", "--method", "formula"])
-    assert code == 2
+NO_TREE = "needs a generating tree; available for pattern sets 201,210 and 0021 only"
+NO_CLOSED_FORM = (
+    "is only available for the pattern sets 201,210 and 0021 and 1012, "
+    "whose counts have a closed form"
+)
+
+
+def test_count_method_availability_errors(capsys):
+    for patterns, method, reason in [
+        ("1012", "tree", NO_TREE), ("1012", "recurrence", NO_TREE),
+        ("010", "gf", NO_CLOSED_FORM), ("010", "formula", NO_CLOSED_FORM),
+    ]:
+        argv = ["count", "--patterns", patterns, "--n", "5", "--method", method]
+        assert run(argv) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"ascentseq: error: method {method!r} {reason}", argv
+
+
+def test_count_reads_the_parsed_pattern_set():
+    # the set is looked up as parsed, so the order it was written in is no matter
+    argv = ["count", "--patterns", "210,201", "--n", "7", "--method"]
+    assert {run(argv + [m]) for m in ("tree", "recurrence", "gf")} == {(0, "731\n")}
     # brute force works for any pattern set
     code, out = run(["count", "--patterns", "010", "--n", "5", "--method", "brute"])
     assert code == 0 and out.strip().isdigit()
@@ -183,6 +201,13 @@ def test_gf_choices_are_the_closed_forms():
     assert cli.GF_CHOICES == series.GF_NAMES
 
 
+def test_count_sets_are_the_tree_modules_sets():
+    # named in cli.py so that a count loads no module beyond its own pipeline
+    assert cli.PAIR_SET == frozenset(gp.PAIR_PATTERNS)
+    assert cli.SET_0021 == frozenset({gt.QUAD_PATTERN})
+    assert set(cli.TOTAL_GF.values()) <= set(series.GF_NAMES)
+
+
 def test_coeffs_json_roundtrip():
     from ascentseq.series import build_closed_form
 
@@ -254,6 +279,26 @@ def test_out_file_written_atomically(tmp_path):
     assert target.read_text() == "51\n"
     leftovers = [p for p in tmp_path.iterdir() if p != target]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_out_file_has_the_mode_open_would_give(tmp_path, umask):
+    # a new file gets 0666 less the umask, and a file written over keeps its mode
+    new, old, plain = (tmp_path / name for name in ("new.txt", "old.txt", "plain.txt"))
+    old.write_text("")
+    old.chmod(0o640)
+    saved = os.umask(umask)
+    try:
+        for target in (new, old):
+            argv = ["count", "--patterns", "201,210", "--n", "5", "--out", str(target)]
+            assert run(argv) == (0, "")
+        with open(plain, "w"):
+            pass
+    finally:
+        os.umask(saved)
+    modes = [p.stat().st_mode & 0o777 for p in (new, old, plain)]
+    assert modes == [0o666 & ~umask, 0o640, 0o666 & ~umask]
+    assert old.read_text() == "51\n"
 
 
 # `verify --suite all --n-max 5 --order 12` byte for byte: the merged report's
@@ -423,7 +468,12 @@ from ascentseq.cli import main
 with redirect_stdout(io.StringIO()):
     main(sys.argv[1:])"""
 
-EVERY_MODULE = ("core", "gentree_pair", "gentree_0021", "series", "verify")
+# the package modules `from ascentseq import *` loads: every one on disk but
+# the package root and the front end, which is imported by name
+EVERY_MODULE = tuple(sorted(
+    p.stem for p in pathlib.Path(ascentseq.__file__).parent.glob("*.py")
+    if p.stem not in ("__init__", "cli")
+))
 
 
 @pytest.mark.parametrize(
@@ -435,10 +485,21 @@ EVERY_MODULE = ("core", "gentree_pair", "gentree_0021", "series", "verify")
         (["table", "--family", "pair", "--n", "4"], ("gentree", "gentree_pair")),
         (["table", "--family", "a1", "--n", "4"], ("gentree", "gentree_0021")),
         (["count", "--patterns", "0021", "--n", "5", "--method", "tree"],
-         EVERY_MODULE + ("gentree",)),
-        (["verify", "--suite", "wilf", "--n-max", "3"], EVERY_MODULE + ("gentree",)),
+         ("core", "gentree", "gentree_0021")),
+        (["count", "--patterns", "0021", "--n", "5", "--method", "recurrence"],
+         ("core", "gentree", "gentree_0021")),
+        (["count", "--patterns", "201,210", "--n", "5", "--method", "tree"],
+         ("core", "gentree", "gentree_pair")),
+        (["count", "--patterns", "201,210", "--n", "5", "--method", "gf"], ("core", "series")),
+        (["count", "--patterns", "201,210", "--n", "5", "--method", "formula"],
+         ("core", "series")),
+        (["count", "--patterns", "1012", "--n", "5", "--method", "gf"], ("core", "series")),
+        (["verify", "--suite", "wilf", "--n-max", "3"], EVERY_MODULE),
+        (["verify", "--suite", "pair", "--n-max", "3", "--order", "6"], EVERY_MODULE),
     ],
-    ids=["count-brute", "enumerate", "coeffs", "table-pair", "table-a1", "count-tree", "verify"],
+    ids=["count-brute", "enumerate", "coeffs", "table-pair", "table-a1", "count-tree",
+         "count-recurrence", "count-tree-pair", "count-gf", "count-formula", "count-gf-1012",
+         "verify", "verify-pair"],
 )
 def test_each_command_imports_only_its_pipeline(argv, loaded):
     expected = {"ascentseq", "ascentseq.cli"} | {f"ascentseq.{m}" for m in loaded}
@@ -450,6 +511,7 @@ def test_package_root_imports_submodules_on_first_use():
     assert ascentseq.verify.crosscheck_pair.__module__ == "ascentseq.verify"
     with pytest.raises(AttributeError, match="'ascentseq' has no attribute 'nope'"):
         getattr(ascentseq, "nope")
+    assert ascentseq.gentree.simulate.__module__ == "ascentseq.gentree"
     names = {}
     exec("from ascentseq import *", names)
     assert {k: v.__name__ for k, v in names.items() if k != "__builtins__"} == {

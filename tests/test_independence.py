@@ -4,7 +4,8 @@ never call the simulator or the succession rule, and the simulators run
 the rule through the one engine, which names no tree and no recurrence.
 
 Every module of the package is held to a table of the package modules it
-may import, so a module added without an entry fails."""
+may import, so a module added without an entry fails, and imports no
+underscore-prefixed name from another package module."""
 
 import ast
 import importlib
@@ -84,6 +85,20 @@ def test_package_imports_match_the_table(name):
     assert name in ALLOWED_IMPORTS, f"{name}.py has no entry in ALLOWED_IMPORTS"
     module = importlib.import_module("ascentseq" if name == "__init__" else f"ascentseq.{name}")
     assert _package_imports(_tree(module)) == ALLOWED_IMPORTS[name]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_a_private_name_of_another(name):
+    module = importlib.import_module("ascentseq" if name == "__init__" else f"ascentseq.{name}")
+    private = [
+        f"{node.module or ''}.{alias.name}"
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "ascentseq")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, private
 
 
 def _named(module, function=None) -> set[str]:
