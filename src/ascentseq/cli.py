@@ -42,7 +42,8 @@ def _write_out(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out_path))
+    out_path = os.path.realpath(out_path)  # write through a symlink, as open() does
+    directory = os.path.dirname(out_path)
     umask = os.umask(0)
     os.umask(umask)
     # mkstemp makes the file 0600; give it the mode open(out_path, "w") would

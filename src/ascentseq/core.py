@@ -413,7 +413,7 @@ def parse_patterns(text: str) -> tuple[Word, ...]:
     for part in parts:
         if not part:
             raise ValueError(f"empty pattern in {text!r}")
-        if not part.isdigit():
+        if not (part.isascii() and part.isdigit()):  # isdigit is true for other scripts' digits
             raise ValueError(f"pattern {part!r} must be a digit string (0-9)")
         patterns.append(_check_pattern(tuple(int(ch) for ch in part)))
     return _normalize_patterns(patterns)

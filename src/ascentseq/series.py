@@ -18,12 +18,18 @@ the two one-variable series f and g tied to the column structure of the
 g0 arrays.  All of them are rational expressions over the one univariate
 radical sqrt(5t^2 - 6t + 1), t being y or z.  Its coefficients are
 integers read off the three-term recurrence
-n s_n = (6n - 9) s_{n-1} - (5n - 15) s_{n-2}, s_0 = 1, s_1 = -3; for the
-multivariate forms the one-variable series is lifted into the ring of
-their variables, and the rest is exact multiplication and inversion.
-`residual` substitutes the closed forms into the functional equations
-they are supposed to solve, with denominators cleared to polynomial
-form, and returns what should be the zero series.
+n s_n = (6n - 9) s_{n-1} - (5n - 15) s_{n-2}, s_0 = 1, s_1 = -3.
+
+Each closed form, and each residual, is written once over a ring: it makes
+polynomials with `poly({exponents: coefficient})` and the radical in its
+own variable with `radical`, and the rest is exact multiplication and
+inversion.  The series ring sends every exponent tuple through an optional
+exponent map as each polynomial is made, so C(x, 1, z), C(y, y, z) and C2
+as a series in x and y are built directly: nothing is lifted into more
+variables or substituted after it is built.  `residual` puts the closed
+forms into the functional equations they are supposed to solve, with
+denominators cleared to polynomial form, and returns what should be the
+zero series.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "MSeries",
@@ -119,13 +125,6 @@ class MSeries:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def truncate(self, order: int) -> "MSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return MSeries(
-            self.vars, order, {e: c for e, c in self.terms.items() if sum(e) <= order}
-        )
 
     def _check_compatible(self, other: "MSeries") -> None:
         if self.vars != other.vars:
@@ -216,33 +215,6 @@ class MSeries:
                     above[u][kq + kb] += cb * cq
         return self._wrap(out)
 
-    def substitute(self, var: str, value: Union[int, str]) -> "MSeries":
-        """Set a variable to 1, or rename it onto another variable.
-
-        The variable list is preserved; the substituted variable simply no
-        longer occurs.  Total degree never grows, so truncation is safe.
-        """
-        if var not in self.vars:
-            raise ValueError(f"unknown variable {var!r}")
-        i = self.vars.index(var)
-        if value == 1:
-            j = None
-        elif isinstance(value, str):
-            if value not in self.vars or value == var:
-                raise ValueError(f"cannot substitute {var!r} by {value!r}")
-            j = self.vars.index(value)
-        else:
-            raise ValueError("substitution value must be 1 or another variable name")
-        nums, den = _over_common(self.terms.values())
-        acc: defaultdict[Exp, int] = defaultdict(int)
-        for e, c in zip(self.terms, nums):
-            le = list(e)
-            if j is not None:
-                le[j] += le[i]
-            le[i] = 0
-            acc[tuple(le)] += c
-        return self._wrap({e: Fraction(c, den) for e, c in acc.items() if c})
-
     def __repr__(self) -> str:
         items = sorted(self.terms.items())[:6]
         parts = [f"{c}*{e}" for e, c in items] or ["0"]
@@ -277,17 +249,17 @@ def a007317(n: int) -> int:
     sum over k of C(n-1, k) * catalan(k), for n >= 1."""
     if n < 1:
         raise ValueError("index must be at least 1")
-    return sum(math.comb(n - 1, k) * catalan(k) for k in range(n))
+    # term k is C(n-1, k) catalan(k); step it by its ratio to term k-1
+    total = term = 1
+    for k in range(n - 1):
+        term = term * (n - 1 - k) * 2 * (2 * k + 1) // ((k + 1) * (k + 2))
+        total += term
+    return total
 
 
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
-
-
-def _poly1(var: str, order: int, terms: Mapping[int, int]) -> MSeries:
-    """A polynomial in the one variable var, given as {power: coefficient}."""
-    return MSeries((var,), order, {(k,): c for k, c in terms.items()})
 
 
 def _radical(order: int) -> list[int]:
@@ -305,72 +277,81 @@ def _radical(order: int) -> list[int]:
     return s[: order + 1]
 
 
-def _radical_u(var: str, order: int) -> MSeries:
-    """sqrt(5 t^2 - 6 t + 1) as a one-variable series."""
-    return _poly1(var, order, dict(enumerate(_radical(order))))
+class _Ring:
+    """The ring the closed forms and residuals are written over: MSeries in
+    the given variables at one truncation order.
+
+    `poly` sends each exponent tuple through the exponent map before it
+    makes the series, summing the terms the map merges, so a form written
+    in its own variables is built at y = 1, at x = y, or inside a ring of
+    more variables, one polynomial at a time.
+    """
+
+    def __init__(self, variables: Sequence[str], order: int,
+                 emap: Callable[[Exp], Exp] | None = None):
+        self.vars = tuple(variables)
+        self.order = order
+        self.emap = emap
+
+    def mapped(self, emap: Callable[[Exp], Exp]) -> "_Ring":
+        """The same ring, with emap applied before this ring's own map."""
+        inner = self.emap
+        return _Ring(self.vars, self.order, emap if inner is None else lambda e: inner(emap(e)))
+
+    def poly(self, terms: Mapping[Exp, int | Fraction]) -> MSeries:
+        if self.emap is not None:
+            folded: defaultdict[Exp, int | Fraction] = defaultdict(int)
+            for e, c in terms.items():
+                folded[self.emap(e)] += c
+            terms = folded
+        return MSeries(self.vars, self.order, terms)
+
+    def radical(self, unit: Exp) -> MSeries:
+        """sqrt(1 - 6t + 5t^2), t being the monomial with exponents unit."""
+        s = _radical(self.order)
+        return self.poly({tuple(k * u for u in unit): c for k, c in enumerate(s)})
 
 
-def _lift(u: MSeries, variables: Sequence[str], var: str) -> MSeries:
-    """The one-variable series u, in variable var of a multivariate ring of
-    the same truncation order."""
-    vs = tuple(variables)
-    i = vs.index(var)
-    pad = (0,) * (len(vs) - i - 1)
-    return MSeries(vs, u.order, {(0,) * i + e + pad: c for e, c in u.terms.items()})
+def _build_total(R) -> MSeries:
+    """(-1 + t + sqrt(5 t^2 - 6 t + 1)) / (2 (t - 1)), in the one variable t."""
+    num = R.poly({(0,): -1, (1,): 1}) + R.radical((1,))
+    return num * R.poly({(0,): -2, (1,): 2}).invert_unit()
 
 
-def _total_formula(var: str, order: int) -> MSeries:
-    """(-1 + t + sqrt(5 t^2 - 6 t + 1)) / (2 (t - 1))."""
-    rad = _radical_u(var, order)
-    num = _poly1(var, order, {0: -1, 1: 1}) + rad
-    den = _poly1(var, order, {0: -2, 1: 2})
-    return num * den.invert_unit()
+def _build_c2(R) -> MSeries:
+    num = (R.poly({(0,): -1, (1,): 1}) + R.radical((1,))) * R.poly({(1,): -1})
+    return num * R.poly({(0,): 2, (1,): -4, (2,): 2}).invert_unit()
 
 
-def _build_c2(order: int) -> MSeries:
-    rad = _radical_u("y", order)
-    num = (_poly1("y", order, {0: -1, 1: 1}) + rad) * _poly1("y", order, {1: -1})
-    den = _poly1("y", order, {0: 2, 1: -4, 2: 2})
-    return num * den.invert_unit()
-
-
-def _build_f(order: int) -> MSeries:
+def _build_f(R) -> MSeries:
     # f = (1 - z - rad) / (2z), so f_{k-1} = (-[k=1] - s_k) / 2
-    s = _radical(order + 1)
-    f = {k - 1: Fraction(-(k == 1) - s[k], 2) for k in range(1, order + 2)}
-    return _poly1("z", order, f)
+    s = _radical(R.order + 1)
+    return R.poly({(k - 1,): Fraction(-(k == 1) - s[k], 2) for k in range(1, R.order + 2)})
 
 
-def _build_g(order: int) -> MSeries:
+def _build_g(R) -> MSeries:
     # the last factor of the denominator, -1 + 3z + rad, is z^2 (s_2 + s_3 z
     # + ...); it cancels the z^2 of the numerator -16 z^2 (1 - z)
-    s = _radical(order + 2)
-    rad = _poly1("z", order, dict(enumerate(s)))
-    one_minus = _poly1("z", order, {0: 1, 1: -1}) + rad
-    other = _poly1("z", order, dict(enumerate(s[2:])))
+    s = _radical(R.order + 2)
+    one_minus = R.poly({(0,): 1, (1,): -1}) + R.radical((1,))
+    other = R.poly({(k,): c for k, c in enumerate(s[2:])})
     den = one_minus * one_minus * one_minus * other
-    return _poly1("z", order, {0: -16, 1: 16}) * den.invert_unit()
+    return R.poly({(0,): -16, (1,): 16}) * den.invert_unit()
 
 
-def _build_c_pair(order: int) -> MSeries:
-    vs = ("x", "y")
-    rad = _lift(_radical_u("y", order), vs, "y")
+def _build_c_pair(R) -> MSeries:
     num = (
-        rad * MSeries(vs, order, {(1, 0): 1})
-        + MSeries(vs, order, {(1, 1): -1, (1, 0): 1, (0, 1): 2, (0, 0): -2})
-    ) * MSeries(vs, order, {(1, 1): 1})
-    den = MSeries(
-        vs, order, {(2, 1): 2, (1, 1): 2, (1, 0): -2, (0, 1): -2, (0, 0): 2}
-    ) * MSeries(vs, order, {(0, 1): 1, (0, 0): -1})
+        R.radical((0, 1)) * R.poly({(1, 0): 1})
+        + R.poly({(1, 1): -1, (1, 0): 1, (0, 1): 2, (0, 0): -2})
+    ) * R.poly({(1, 1): 1})
+    den = R.poly(
+        {(2, 1): 2, (1, 1): 2, (1, 0): -2, (0, 1): -2, (0, 0): 2}
+    ) * R.poly({(0, 1): 1, (0, 0): -1})
     return num * den.invert_unit()
 
 
-def _build_d_pair(order: int) -> MSeries:
-    vs = ("x", "y")
-    rad = _lift(_radical_u("y", order), vs, "y")
-    inner = rad * MSeries(vs, order, {(2, 1): 1}) + MSeries(
-        vs,
-        order,
+def _build_d_pair(R) -> MSeries:
+    inner = R.radical((0, 1)) * R.poly({(2, 1): 1}) + R.poly(
         {
             (2, 2): 1,
             (2, 1): -1,
@@ -382,10 +363,8 @@ def _build_d_pair(order: int) -> MSeries:
             (0, 0): -2,
         },
     )
-    num = (-inner) * MSeries(vs, order, {(1, 1): 1})
-    den = MSeries(
-        vs,
-        order,
+    num = (-inner) * R.poly({(1, 1): 1})
+    den = R.poly(
         {
             (2, 2): 2,
             (2, 1): -2,
@@ -396,45 +375,47 @@ def _build_d_pair(order: int) -> MSeries:
             (0, 1): 4,
             (0, 0): -2,
         },
-    ) * MSeries(vs, order, {(0, 1): 1, (0, 0): -1})
+    ) * R.poly({(0, 1): 1, (0, 0): -1})
     return num * den.invert_unit()
 
 
-def _build_c_0021(order: int) -> MSeries:
-    vs = ("x", "y", "z")
-    rad = _lift(_radical_u("z", order), vs, "z")
+def _build_c_0021(R) -> MSeries:
     w = (
-        MSeries(vs, order, {(0, 0, 0): 1, (0, 0, 1): -1, (0, 1, 1): -1}) * rad
-        + MSeries(vs, order, {(0, 0, 0): 1, (0, 0, 1): -3, (0, 1, 1): -1})
-        * MSeries(vs, order, {(0, 0, 0): 1, (0, 0, 1): -1})
+        R.poly({(0, 0, 0): 1, (0, 0, 1): -1, (0, 1, 1): -1}) * R.radical((0, 0, 1))
+        + R.poly({(0, 0, 0): 1, (0, 0, 1): -3, (0, 1, 1): -1})
+        * R.poly({(0, 0, 0): 1, (0, 0, 1): -1})
     )
-    geo_xz = MSeries(vs, order, {(0, 0, 0): 1, (1, 0, 1): -1}).invert_unit()
-    return MSeries(vs, order, {(1, 2, 3): 2}) * geo_xz * w.invert_unit()
+    geo_xz = R.poly({(0, 0, 0): 1, (1, 0, 1): -1}).invert_unit()
+    return R.poly({(1, 2, 3): 2}) * geo_xz * w.invert_unit()
 
 
-def _build_d_0021(order: int) -> MSeries:
-    vs = ("x", "y", "z")
-    rad = _lift(_radical_u("z", order), vs, "z")
-    w = rad * MSeries(vs, order, {(0, 1, 0): 1}) + MSeries(
-        vs, order, {(0, 1, 1): 1, (0, 0, 1): -2, (0, 1, 0): -1, (0, 0, 0): 2}
+def _build_d_0021(R) -> MSeries:
+    w = R.radical((0, 0, 1)) * R.poly({(0, 1, 0): 1}) + R.poly(
+        {(0, 1, 1): 1, (0, 0, 1): -2, (0, 1, 0): -1, (0, 0, 0): 2}
     )
-    geo_xz = MSeries(vs, order, {(0, 0, 0): 1, (1, 0, 1): -1}).invert_unit()
-    return MSeries(vs, order, {(1, 1, 2): 2}) * geo_xz * w.invert_unit()
+    geo_xz = R.poly({(0, 0, 0): 1, (1, 0, 1): -1}).invert_unit()
+    return R.poly({(1, 1, 2): 2}) * geo_xz * w.invert_unit()
 
 
+# each builder takes a ring; f and g read the radical's list themselves and
+# enter no functional equation
 _BUILDERS = {
     "C_pair": _build_c_pair,
     "D_pair": _build_d_pair,
     "C2": _build_c2,
-    "C_total_pair": lambda order: _total_formula("y", order),
+    "C_total_pair": _build_total,
     "C_0021": _build_c_0021,
     "D_0021": _build_d_0021,
-    "total_0021": lambda order: _total_formula("z", order),
+    "total_0021": _build_total,
     "f": _build_f,
     "g": _build_g,
 }
 
 GF_NAMES = tuple(_BUILDERS)
+
+_XY, _XYZ = ("x", "y"), ("x", "y", "z")
+_VARIABLES = dict(C_pair=_XY, D_pair=_XY, C2=("y",), C_total_pair=("y",), C_0021=_XYZ,
+                  D_0021=_XYZ, total_0021=("z",), f=("z",), g=("z",))
 
 
 def build_closed_form(which: str, order: int):
@@ -447,7 +428,7 @@ def build_closed_form(which: str, order: int):
         builder = _BUILDERS[which]
     except KeyError:
         raise ValueError(f"unknown closed form {which!r}; choose from {GF_NAMES}")
-    return builder(order)
+    return builder(_Ring(_VARIABLES[which], order))
 
 
 # ---------------------------------------------------------------------------
@@ -455,41 +436,32 @@ def build_closed_form(which: str, order: int):
 # ---------------------------------------------------------------------------
 
 
-def _residual_pair(which: str, order: int) -> MSeries:
-    vs = ("x", "y")
-    C = _BUILDERS["C_pair"](order)
-    D = _BUILDERS["D_pair"](order)
-    one_minus_y = MSeries(vs, order, {(0, 0): 1, (0, 1): -1})
+def _residual_pair(which: str, R) -> MSeries:
+    C = _BUILDERS["C_pair"](R)
+    D = _BUILDERS["D_pair"](R)
+    one_minus_y = R.poly({(0, 0): 1, (0, 1): -1})
     if which == "pair_c":
         # (1-x)(1-y) C + x(1-y) D = xy + x^2 (1-y) C2, both sides times (1-y)
-        c2_m = _lift(_BUILDERS["C2"](order), vs, "y")
+        c2 = _BUILDERS["C2"](R.mapped(lambda e: (0, *e)))
         lhs = (
-            MSeries(vs, order, {(0, 0): 1, (1, 0): -1}) * one_minus_y * C
-            + MSeries(vs, order, {(1, 0): 1}) * one_minus_y * D
+            R.poly({(0, 0): 1, (1, 0): -1}) * one_minus_y * C
+            + R.poly({(1, 0): 1}) * one_minus_y * D
         )
-        rhs = MSeries(vs, order, {(1, 1): 1}) + (
-            MSeries(vs, order, {(2, 0): 1}) * one_minus_y * c2_m
-        )
+        rhs = R.poly({(1, 1): 1}) + R.poly({(2, 0): 1}) * one_minus_y * c2
         return lhs - rhs
     # (1-y) D - xy C = xy, times (1-y)
-    lhs = one_minus_y * (one_minus_y * D - MSeries(vs, order, {(1, 1): 1}) * C)
-    rhs = one_minus_y * MSeries(vs, order, {(1, 1): 1})
+    lhs = one_minus_y * (one_minus_y * D - R.poly({(1, 1): 1}) * C)
+    rhs = one_minus_y * R.poly({(1, 1): 1})
     return lhs - rhs
 
 
-def _residual_0021_c(order: int) -> MSeries:
-    vs = ("x", "y", "z")
-    full = 2 * order  # substitution at y=1 folds degrees down; build deep enough
-    C_full = _BUILDERS["C_0021"](full)
-    D_full = _BUILDERS["D_0021"](full)
-    C = C_full.truncate(order)
-    D = D_full.truncate(order)
-    C1 = C_full.substitute("y", 1).truncate(order)
-    D1 = D_full.substitute("y", 1).truncate(order)
-
-    def poly(t):
-        return MSeries(vs, order, t)
-
+def _residual_0021_c(R) -> MSeries:
+    at_y1 = R.mapped(lambda e: (e[0], 0, e[2]))
+    C = _BUILDERS["C_0021"](R)
+    D = _BUILDERS["D_0021"](R)
+    C1 = _BUILDERS["C_0021"](at_y1)
+    D1 = _BUILDERS["D_0021"](at_y1)
+    poly = R.poly
     geo_z = poly({(0, 0, 0): 1, (0, 0, 1): -1}).invert_unit()
     geo_yz = poly({(0, 0, 0): 1, (0, 1, 1): -1}).invert_unit()
     geo_xz = poly({(0, 0, 0): 1, (1, 0, 1): -1}).invert_unit()
@@ -510,16 +482,13 @@ def _residual_0021_c(order: int) -> MSeries:
     return lhs - rhs
 
 
-def _residual_0021_d(order: int) -> MSeries:
-    vs = ("x", "y", "z")
-    C = _BUILDERS["C_0021"](order)
-    D = _BUILDERS["D_0021"](order)
-    Cyy = C.substitute("x", "y")
-    Dyy = D.substitute("x", "y")
-
-    def poly(t):
-        return MSeries(vs, order, t)
-
+def _residual_0021_d(R) -> MSeries:
+    at_xy = R.mapped(lambda e: (0, e[0] + e[1], e[2]))
+    C = _BUILDERS["C_0021"](R)
+    D = _BUILDERS["D_0021"](R)
+    Cyy = _BUILDERS["C_0021"](at_xy)
+    Dyy = _BUILDERS["D_0021"](at_xy)
+    poly = R.poly
     geo_yz = poly({(0, 0, 0): 1, (0, 1, 1): -1}).invert_unit()
     geo_xz = poly({(0, 0, 0): 1, (1, 0, 1): -1}).invert_unit()
     x_minus_y = poly({(1, 0, 0): 1, (0, 1, 0): -1})
@@ -536,10 +505,10 @@ def _residual_0021_d(order: int) -> MSeries:
 
 
 _RESIDUALS = {
-    "pair_c": lambda order: _residual_pair("pair_c", order),
-    "pair_d": lambda order: _residual_pair("pair_d", order),
-    "t0021_c": _residual_0021_c,
-    "t0021_d": _residual_0021_d,
+    "pair_c": (_XY, lambda R: _residual_pair("pair_c", R)),
+    "pair_d": (_XY, lambda R: _residual_pair("pair_d", R)),
+    "t0021_c": (_XYZ, _residual_0021_c),
+    "t0021_d": (_XYZ, _residual_0021_d),
 }
 
 RESIDUAL_NAMES = tuple(_RESIDUALS)
@@ -554,7 +523,7 @@ def residual(which: str, order: int) -> MSeries:
     yields the zero series through the requested order.
     """
     try:
-        builder = _RESIDUALS[which]
+        variables, builder = _RESIDUALS[which]
     except KeyError:
         raise ValueError(f"unknown residual {which!r}; choose from {RESIDUAL_NAMES}")
-    return builder(order)
+    return builder(_Ring(variables, order))

@@ -188,8 +188,8 @@ def test_coeffs_writes_a_fraction_as_num_over_den(monkeypatch, fmt, text):
     # denominator ending in 1 keeps it, and an integer drops its "/1"
     terms = {(1, 0): 11, (0, 0): Fraction(-1, 2), (0, 2): Fraction(5, 21)}
 
-    def built(order):
-        return series.MSeries(("x", "y"), order, terms)
+    def built(ring):
+        return series.MSeries(("x", "y"), ring.order, terms)
 
     monkeypatch.setitem(series._BUILDERS, "f", built)
     assert run(["coeffs", "--gf", "f", "--order", "3", "--format", fmt]) == (0, text)
@@ -239,6 +239,8 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(["verify", "--suite", "wilf", "--n-max", "0"])[0] == 2
     assert run(["verify", "--suite", "wilf", "--n-max", "5", "--order", "3"])[0] == 2
     assert run(["coeffs", "--gf", "nope", "--order", "5"])[0] == 2
+    assert run(["count", "--patterns", "\u0660\u0661", "--n", "3"])[0] == 2  # Arabic-Indic 01
+    assert run(["count", "--patterns", "\u00b2", "--n", "3"])[0] == 2  # superscript two
     count = ["count", "--patterns", "201,210", "--n", "3", "--out"]
     assert run(count + [str(tmp_path / "missing" / "x.txt")])[0] == 2
     assert run(count + [str(tmp_path)])[0] == 2
@@ -299,6 +301,18 @@ def test_out_file_has_the_mode_open_would_give(tmp_path, umask):
     modes = [p.stat().st_mode & 0o777 for p in (new, old, plain)]
     assert modes == [0o666 & ~umask, 0o640, 0o666 & ~umask]
     assert old.read_text() == "51\n"
+
+
+def test_out_writes_through_a_symlink(tmp_path):
+    # as open(link, "w") would: the target gets the output, the link stays
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("x\n")
+    target.chmod(0o640)
+    link.symlink_to(target.name)
+    assert run(["count", "--patterns", "0021", "--n", "3", "--out", str(link)]) == (0, "")
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text() == "5\n" and target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
 
 
 # `verify --suite all --n-max 5 --order 12` byte for byte: the merged report's

@@ -280,6 +280,14 @@ def test_pattern_text_roundtrip():
         core.parse_patterns("")
 
 
+@pytest.mark.parametrize("text", ["\u0660\u0661", "\u00b2", "01,\u0661"])
+def test_non_ascii_digits_are_no_pattern(text):
+    # str.isdigit is true for them; int() reads the first as 01 and fails on "²"
+    bad = text.split(",")[-1]
+    with pytest.raises(ValueError, match=f"^pattern {bad!r} must be a digit string"):
+        core.parse_patterns(text)
+
+
 # Drawn once with random.Random(4171), the seed fixed before the first run:
 # 24 sets of 1-3 patterns, each the reduction of a random word of length 2-5.
 RANDOM_PATTERN_SETS = [

@@ -57,12 +57,12 @@ def _level(monkeypatch, module, fn, n, field, key=None):
 
 
 def _term(monkeypatch, name, exps):
-    """+1 on one term of a closed form, in the table every build reads."""
+    """+1 on one term of a closed form, in the table every build reads; a
+    build at y = 1 or x = y gets the term through the ring's exponent map."""
     real = series._BUILDERS[name]
 
-    def wrong(order):
-        gf = real(order)
-        return gf + series.MSeries(gf.vars, order, {exps: 1})
+    def wrong(ring):
+        return real(ring) + ring.poly({exps: 1})
 
     monkeypatch.setitem(series._BUILDERS, name, wrong)
 

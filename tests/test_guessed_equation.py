@@ -22,7 +22,7 @@ import pytest
 
 from ascentseq import gentree_pair as gp
 from ascentseq import series
-from ascentseq.series import MSeries, build_closed_form
+from ascentseq.series import build_closed_form
 
 LEVELS = 24
 CHECKED = 40  # C_pair and D_pair at total degree 80 are exact to y^40
@@ -130,8 +130,8 @@ def test_one_closed_form_term_off_breaks_the_equation(monkeypatch, side):
     name = CLOSED_FORM[side]
     real = series._BUILDERS[name]
 
-    def wrong(order):
-        return real(order) + MSeries(("x", "y"), order, {(3, 33): 1})
+    def wrong(ring):
+        return real(ring) + ring.poly({(3, 33): 1})
 
     monkeypatch.setitem(series._BUILDERS, name, wrong)
     assert any(_coefficients(_from_closed_form(name, 2), eq, DEGREE[side]))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from ascentseq import gentree_0021 as gt
 from ascentseq import gentree_pair as gp
+from ascentseq import series
 from ascentseq.series import (
     GF_NAMES,
     MSeries,
@@ -77,22 +79,41 @@ def test_sqrt_examples():
     assert square == [1, -6, 5] + [0] * 298
 
 
-def test_substitute():
+def test_column_sums_of_c_pair_are_a007317():
     C = build_closed_form("C_pair", 16)
-    at_one = C.substitute("x", 1)
     for n in range(1, 9):
-        assert at_one.coeff((0, n)) == a007317(n)
-    D = build_closed_form("D_0021", 10)
-    merged = D.substitute("x", "y")
-    direct = {}
-    for (q, r, n), c in D.terms.items():
-        key = (0, q + r, n)
-        direct[key] = direct.get(key, Fraction(0)) + c
-    assert merged.terms == {e: c for e, c in direct.items() if c}
-    const = MSeries(("x", "y"), 5, {(0, 0): 7})
-    assert const.substitute("x", 1) == const
-    with pytest.raises(ValueError):
-        const.substitute("w", 1)
+        assert sum(c for (_, m), c in C.terms.items() if m == n) == a007317(n)
+
+
+# each exponent map, and the specialisation of C(x, y, z) it builds
+SPECIALISED = {
+    "y=1": lambda e: (e[0], 0, e[2]),
+    "x=y": lambda e: (0, e[0] + e[1], e[2]),
+    "x=y=1": lambda e: (0, 0, e[2]),
+}
+
+
+@pytest.mark.parametrize("emap", SPECIALISED.values(), ids=SPECIALISED)
+@pytest.mark.parametrize("name", ["C_0021", "D_0021"])
+def test_specialised_builds_are_folds_of_the_full_build(name, emap):
+    order = 10
+    # the x- and y-degree of a term add to at most its z-degree, so every
+    # term that folds into degree <= order is in the build at 2 * order
+    full = build_closed_form(name, 2 * order).terms
+    keys = {emap(e) for e in full if sum(emap(e)) <= order}
+    fold = {k: sum(c for e, c in full.items() if emap(e) == k) for k in keys}
+    built = series._BUILDERS[name](series._Ring(("x", "y", "z"), order, emap))
+    assert built.vars == ("x", "y", "z") and built.order == order
+    assert built.terms == {k: c for k, c in fold.items() if c}
+    assert built.terms  # the fold is no empty series
+
+
+def test_lifted_c2_is_c2_in_x_and_y():
+    order = 20
+    c2 = build_closed_form("C2", order).terms
+    built = series._BUILDERS["C2"](series._Ring(("x", "y"), order, lambda e: (0, *e)))
+    assert built.terms == {(0, k): c for (k,), c in c2.items()}
+    assert len(built.terms) == order - 1  # y^2 .. y^order
 
 
 def test_mseries_coeff_rejects_bad_exponents():
@@ -116,6 +137,12 @@ def test_reference_sequences():
     assert a007317(10) == 51822
     with pytest.raises(ValueError):
         a007317(0)
+
+
+def test_a007317_is_the_binomial_convolution_of_catalan_numbers():
+    # the stepped terms against the paper's sum, each term computed afresh
+    for n in range(1, 301):
+        assert a007317(n) == sum(math.comb(n - 1, k) * catalan(k) for k in range(n))
 
 
 def test_build_c2():
