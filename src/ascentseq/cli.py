@@ -234,6 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # counts may exceed 4,300 digits
+        sys.set_int_max_str_digits(0)
     if getattr(args, "patterns", None) is not None:
         from .core import parse_patterns
         args.patterns_text = args.patterns

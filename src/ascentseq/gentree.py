@@ -1,26 +1,17 @@
 """Generating trees grown from a root label by a succession rule.
 
 A generating tree (West, 1995) is a root label and a succession rule: here
-a function of a label yielding `(child, mult)` pairs, in which a child may
-recur.  This engine grows both trees of the package without reading a
+a function of a label yielding its child labels, a child as often as it
+occurs.  This engine grows both trees of the package without reading a
 label: it expands each label it reaches once and pulls every level's
 counts along the recorded (parent, child) edges.
 """
 
 from array import array
-from collections import Counter
 from itertools import compress
 from typing import Callable, Hashable
 
-__all__ = ["children", "simulate"]
-
-
-def children(rule: Callable, label: Hashable) -> Counter:
-    """Multiset of the child labels of label under rule."""
-    kids: Counter = Counter()
-    for child, mult in rule(label):
-        kids[child] += mult
-    return kids
+__all__ = ["simulate"]
 
 
 def simulate(root: Hashable, rule: Callable, n_max: int) -> list[dict]:
@@ -28,8 +19,8 @@ def simulate(root: Hashable, rule: Callable, n_max: int) -> list[dict]:
 
     Labels get ids in order of discovery.  Each label is expanded by the
     rule once, on the first level where it has a nonzero count, and is
-    recorded as a parent of each child it yields, once per unit of
-    multiplicity; a level's count of a label is then the sum of its
+    recorded as a parent of each child it yields, once per time the child
+    is yielded; a level's count of a label is then the sum of its
     parents' counts one level down.
     """
     if n_max < 1:
@@ -44,16 +35,13 @@ def simulate(root: Hashable, rule: Callable, n_max: int) -> list[dict]:
         # the labels first reached one level down, all with nonzero counts
         fresh, expanded = range(expanded, len(labels)), len(labels)
         for parent in fresh:
-            for child, mult in rule(labels[parent]):
+            for child in rule(labels[parent]):
                 i = ids.get(child)
                 if i is None:
                     i = ids[child] = len(labels)
                     labels.append(child)
                     parents.append(array("I"))
-                if mult == 1:
-                    parents[i].append(parent)
-                else:
-                    parents[i].extend([parent] * mult)
+                parents[i].append(parent)
         counts = [sum(map(counts.__getitem__, ps)) for ps in parents]
         levels.append(dict(compress(zip(labels, counts), counts)))
     return levels

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .gentree import children, simulate
+from .gentree import simulate
 
 __all__ = [
     "QUAD_PATTERN",
@@ -101,32 +101,32 @@ def _classify(label: tuple[int, int, int]) -> int:
     raise ValueError(f"invalid label {label}: p must be q-2, q-1 or q")
 
 
-def _rule(label: tuple[int, int, int]) -> Iterator[tuple[tuple[int, int, int], int]]:
+def _rule(label: tuple[int, int, int]) -> Iterator[tuple[int, int, int]]:
     """The succession rules, written once: each child label of a validated
-    label with multiplicity 1, yielded as often as it occurs."""
+    label, as often as it occurs."""
     kind = _classify(label)
     p, q, r = label
     if kind == 2:
-        yield (q - 1, q + 1, 0), 1
+        yield (q - 1, q + 1, 0)
         for i in range(0, q - 1):
-            yield (i, i + 1, q - 1 - i), 1
+            yield (i, i + 1, q - 1 - i)
     elif kind == 1:
-        yield (q - 1, q, r), 1
+        yield (q - 1, q, r)
         for i in range(0, q - 1):
-            yield (i, i + 1, q + r - 1 - i), 1
+            yield (i, i + 1, q + r - 1 - i)
         for i in range(2, r + 2):
-            yield (q, q, i), 1
+            yield (q, q, i)
     else:
-        yield (q, q, r), 1
+        yield (q, q, r)
         for i in range(0, q):
-            yield (i, i + 1, q + r - 1 - i), 1
+            yield (i, i + 1, q + r - 1 - i)
         for i in range(2, r + 1):
-            yield (q, q, i), 1
+            yield (q, q, i)
 
 
 def triple_children(label: tuple[int, int, int]) -> Counter:
     """Multiset of child labels under the matching succession rule."""
-    return children(_rule, label)
+    return Counter(_rule(label))
 
 
 def _classify_level(n: int, labels: dict[tuple[int, int, int], int]) -> TripleLevelTables:

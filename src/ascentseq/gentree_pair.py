@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .gentree import children, simulate
+from .gentree import simulate
 
 __all__ = [
     "PAIR_PATTERNS",
@@ -65,22 +65,22 @@ def pair_label_from_appendable(
     return appendable.index(seq[-1]), len(appendable) - 1
 
 
-def _rule(label: tuple[int, int]) -> Iterator[tuple[tuple[int, int], int]]:
-    """The succession rule, written once: each child label of a label with
-    its multiplicity.  A label off 0 <= p < q raises ValueError."""
+def _rule(label: tuple[int, int]) -> Iterator[tuple[int, int]]:
+    """The succession rule, written once: each child label as often as it
+    occurs, (0, 1+q-p) taken p times.  A label off 0 <= p < q raises ValueError."""
     p, q = label
     if not 0 <= p < q:
         raise ValueError(f"invalid label {label}: need 0 <= p < q")
-    if p:
-        yield (0, 1 + q - p), p
-    yield (p, q), 1
+    for _ in range(p):
+        yield (0, 1 + q - p)
+    yield (p, q)
     for i in range(p + 1, q + 1):
-        yield (i, q + 1), 1
+        yield (i, q + 1)
 
 
 def pair_children(label: tuple[int, int]) -> Counter:
     """Multiset of child labels under the succession rule."""
-    return children(_rule, label)
+    return Counter(_rule(label))
 
 
 def simulate_pair_levels(n_max: int) -> list[PairLevelTable]:

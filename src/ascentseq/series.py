@@ -43,7 +43,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "MSeries",
-    "catalan",
     "a007317",
     "GF_NAMES",
     "RESIDUAL_NAMES",
@@ -237,19 +236,12 @@ class MSeries:
 # ---------------------------------------------------------------------------
 
 
-def catalan(k: int) -> int:
-    """Catalan numbers, binom(2k, k) / (k + 1)."""
-    if k < 0:
-        raise ValueError("negative index")
-    return math.comb(2 * k, k) // (k + 1)
-
-
 def a007317(n: int) -> int:
     """Binomial convolution of the Catalan numbers (OEIS A007317):
-    sum over k of C(n-1, k) * catalan(k), for n >= 1."""
+    sum over k of C(n-1, k) Cat(k), for n >= 1."""
     if n < 1:
         raise ValueError("index must be at least 1")
-    # term k is C(n-1, k) catalan(k); step it by its ratio to term k-1
+    # term k is C(n-1, k) Cat(k); step it by its ratio to term k-1
     total = term = 1
     for k in range(n - 1):
         term = term * (n - 1 - k) * 2 * (2 * k + 1) // ((k + 1) * (k + 2))

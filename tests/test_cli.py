@@ -252,7 +252,7 @@ def _with_extra_child(real, parent, extra):
     def wrong(label):
         yield from real(label)
         if label == parent:
-            yield extra, 1
+            yield extra
 
     return wrong
 
@@ -472,6 +472,32 @@ def _loaded_by(script, *args):
     )
     assert done.returncode == 0, done.stderr
     return set(done.stdout.split())
+
+
+def test_a_count_past_4300_digits_prints_in_full():
+    # lifting the str(int) digit limit is process-wide, so the CLI runs in a
+    # fresh interpreter, and this one lifts it only to read the answer
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ascentseq.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["count", "--patterns", "0021", "--method", "formula", "--n", "6200"]
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "ascentseq.cli", *argv, "--format", fmt],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+        )
+        for fmt in ("plain", "json")
+    ]
+    assert [(o.returncode, o.stderr) for o in outs] == [(0, ""), (0, "")]
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)  # Python < 3.10.7
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
+    try:
+        expected = series.a007317(6200)
+        assert len(str(expected)) == 4328
+        assert outs[0].stdout == f"{expected}\n"
+        assert json.loads(outs[1].stdout)["count"] == expected
+    finally:
+        set_limit(limit)
 
 
 RUN_MAIN = """\

@@ -8,18 +8,18 @@ import pytest
 
 from ascentseq import gentree_0021 as gt
 from ascentseq import gentree_pair as gp
-from ascentseq.gentree import children, simulate
+from ascentseq.gentree import simulate
 
 
 def _catalan_rule(k):
     """k -> 1, 2, ..., k+1: the Catalan tree rooted at 1."""
-    for child in range(1, k + 2):
-        yield child, 1
+    yield from range(1, k + 2)
 
 
 def _doubling_rule(x):
-    """x -> x taken twice, stated as one multiplicity."""
-    yield x, 2
+    """x -> x taken twice."""
+    yield x
+    yield x
 
 
 def test_catalan_rule_level_totals_are_catalan_numbers():
@@ -38,14 +38,13 @@ def test_no_level():
     assert simulate(1, _catalan_rule, -1) == []
 
 
-def test_children_adds_multiplicities_of_a_repeated_child():
+def test_a_repeated_child_counts_once_per_occurrence():
     def rule(label):
-        yield "a", 2
-        yield "b", 1
-        yield "a", 1
+        yield from ("a", "a", "b", "a")
 
-    assert children(rule, None) == Counter({"a": 3, "b": 1})
-    assert children(_catalan_rule, 2) == Counter({1: 1, 2: 1, 3: 1})
+    assert simulate(None, rule, 2)[1] == {"a": 3, "b": 1}
+    assert Counter(rule(None)) == Counter({"a": 3, "b": 1})
+    assert Counter(_catalan_rule(2)) == Counter({1: 1, 2: 1, 3: 1})
 
 
 def _push_down(root, rule, n_max):
@@ -54,8 +53,8 @@ def _push_down(root, rule, n_max):
     while len(levels) < n_max:
         nxt = Counter()
         for label, cnt in levels[-1].items():
-            for c, m in rule(label):
-                nxt[c] += cnt * m
+            for c in rule(label):
+                nxt[c] += cnt
         levels.append(dict(nxt))
     return levels
 

@@ -5,10 +5,13 @@ part of total degree d and the expansion in s to order N is exactly the
 total-degree truncation that MSeries keeps.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
+from test_exact_identities import FORMS, PointRing
 
+from ascentseq import series
 from ascentseq.series import GF_NAMES, _radical, build_closed_form
 
 sp = pytest.importorskip("sympy")
@@ -87,3 +90,30 @@ def test_closed_form_matches_sympy(name):
 def test_radical_matches_sympy():
     want = sp.Poly(sp.series(rad(z), z, 0, 41).removeO(), z).all_coeffs()[::-1]
     assert _radical(40) == [int(c) for c in want]
+
+
+def _real_surd_points(rng, count):
+    """count points (x, y, z) of rationals p/q, |p|, q <= 10^6, at which
+    d = 1 - 6t + 5t^2 is positive and no rational square for t = y and t = z."""
+    points = []
+    while len(points) < count:
+        point = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in "xyz"]
+        ds = [1 - 6 * t + 5 * t * t for t in point[1:]]
+        if all(d > 0 and sp.sqrt(sp.Rational(d.numerator, d.denominator)).is_irrational
+               for d in ds):
+            points.append(dict(zip((x, y, z), point)))
+    return points
+
+
+@pytest.mark.parametrize("name", FORMS)
+@pytest.mark.parametrize("point", _real_surd_points(random.Random(2014), 2), ids=range(2))
+def test_point_ring_value_matches_sympy(name, point):
+    # the builder on Q(sqrt d) at the point against the formula evaluated
+    # there, with sqrt d taken positive
+    expr, variables, _ = FORMULAS[name]
+    assert tuple(map(str, variables)) == series._VARIABLES[name]
+    at = [point[v] for v in variables]
+    value = series._BUILDERS[name](PointRing(at))
+    surd = sp.Rational(value.a) + sp.Rational(value.b) * sp.sqrt(sp.Rational(value.d))
+    want = expr.subs({v: sp.Rational(c) for v, c in zip(variables, at)})
+    assert abs(sp.N(surd - want, 50)) <= sp.Float(10) ** -40 * abs(sp.N(want, 50))
