@@ -14,8 +14,10 @@ of every length up to a depth and hands each shorter avoider, with its
 appendable digits, to an optional visitor; enumeration is such a visitor.
 All of these run on one incremental dynamic program over pattern prefixes
 (partial assignments of sequence values to pattern values), extended one
-digit at a time; the digits that would complete a pattern form one
-bitmask.  A naive scan over all index subsequences is kept as the test
+digit at a time by one tracker for the whole pattern set; the digits that
+would complete a pattern form one bitmask.  The walk pushes no word of
+the last two lengths below its depth: it reads their masks off the
+tracker.  A naive scan over all index subsequences is kept as the test
 oracle.
 """
 
@@ -107,18 +109,21 @@ def _normalize_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Word, ...]:
 # equal pm[p[j]] if that value is already assigned, and otherwise must lie
 # strictly between the nearest assigned values below and above p[j].
 #
-# A tracker keeps the partial matches of its pattern with 1..k-3 positions
-# filled against the word pushed so far, bucketed by the digit each would
-# consume next.  Those with k-2 positions filled are not bucketed: for each
-# digit d, done[d] is a stack whose top is the OR of their closing masks for
-# d, the digits that complete the pattern once such a match has consumed d
-# (for k = 2, the base entry holds the empty match's mask).  Matches with k-1
-# positions filled are not stored either: the caller keeps the union of their
-# windows, the digits that complete the pattern, as one bitmask called
-# forbid.  Partial matches only grow with the word (old subsequences stay
-# subsequences), so forbid only gains bits, and undo pops what push appended.
-# completes(d) must be read before push(d): the matches push(d) creates may
-# not consume that same d.  Digits lie in 0..max_digit.
+# One tracker follows a whole pattern set.  For each pattern of length k it
+# keeps the partial matches with 0..k-3 positions filled against the word
+# pushed so far, bucketed by the digit each would consume next (the empty
+# match sits in every bucket of level 0).  Those with k-2 positions filled are
+# not bucketed: for each digit d, done[d] is a stack whose top is the OR,
+# over all patterns, of their closing masks for d, the digits that complete a
+# pattern once such a match has consumed d (for k = 2, the base entry holds
+# the empty match's mask).  Matches with k-1 positions filled are not stored
+# either: the caller keeps the union of their windows, the digits that
+# complete a pattern, as one bitmask called forbid.  Partial matches only grow
+# with the word (old subsequences stay subsequences), so forbid only gains
+# bits, and undo pops what push appended; closings(d) reads what push(d)
+# would stack on done without pushing.  completes(d) must be read before
+# push(d): the matches push(d) creates may not consume that same d.  Digits
+# lie in 0..max_digit.
 # ---------------------------------------------------------------------------
 
 
@@ -129,48 +134,47 @@ def _extend(pm: tuple, c: int, x: int) -> tuple:
 
 
 class _PatternTracker:
-    __slots__ = ("pattern", "k", "max_digit", "empty", "accept", "seen", "done", "rel")
+    __slots__ = ("max_digit", "slots", "done")
 
-    def __init__(self, pattern: Word, max_digit: int):
-        self.pattern = pattern
-        self.k = len(pattern)
+    def __init__(self, patterns: Iterable[Word], max_digit: int):
         self.max_digit = max_digit
-        self.empty = (None,) * (max(pattern) + 1)
-        # accept[j][d], 1 <= j <= k-3: partial matches with j positions filled
-        # that can consume d as position j; seen[j], 1 <= j <= k-2, is the set
-        # of matches with j positions filled: none is stored twice.
-        self.accept = [None] + [[[] for _ in range(max_digit + 1)] for _ in range(self.k - 3)]
-        self.seen = [None] + [set() for _ in range(self.k - 2)]
-        # rel[d]: the digits that stand to d as p[-1] stands to p[-2] (above,
-        # below or equal).  Consuming d as position k-2 narrows a match's
-        # window for p[-1] to the part that rel[d] holds: its closing mask.
-        c2, c1 = pattern[-2:]
-        self.rel = [
-            1 << d if c1 == c2 else -(2 << d) if c1 > c2 else (1 << d) - 1
-            for d in range(max_digit + 1)
-        ]
-        base = (2 << max_digit) - 1 if self.k == 2 else 0
-        self.done = [[base & r] for r in self.rel]
+        # one slot per pattern p of length k: (p, k - 2, memo, accept, seen,
+        # rel).  accept[j][d], 0 <= j <= k-3: partial matches with j
+        # positions filled that can consume d as position j (the empty match
+        # alone for j = 0); seen[j], 1 <= j <= k-2, is the set of matches
+        # with j positions filled: none is stored twice.  rel[d]: the digits
+        # that stand to d as p[-1] stands to p[-2] (above, below or equal).
+        # Consuming d as position k-2 narrows a match's window for p[-1] to
+        # the part that rel[d] holds: its closing mask.  memo maps each match
+        # with k-2 positions filled to its (lo, hi, closing), once computed.
+        self.slots = []
+        base = [0] * (max_digit + 1)
+        for p in patterns:
+            k = len(p)
+            c2, c1 = p[-2:]
+            rel = [
+                1 << d if c1 == c2 else -(2 << d) if c1 > c2 else (1 << d) - 1
+                for d in range(max_digit + 1)
+            ]
+            accept = [[[(None,) * (max(p) + 1)]] * (max_digit + 1)]
+            accept += [[[] for _ in range(max_digit + 1)] for _ in range(k - 3)]
+            seen = [None] + [set() for _ in range(k - 2)]
+            self.slots.append((p, k - 2, {}, accept, seen, rel))
+            if k == 2:
+                base = [b | r for b, r in zip(base, rel)]
+        full = (2 << max_digit) - 1
+        self.done = [[b & full] for b in base]
 
     def window(self, pm: tuple, c: int) -> tuple[int, int]:
-        v = pm[c]
-        if v is not None:
-            return v, v
-        lo, hi = 0, self.max_digit
-        for cc in range(c - 1, -1, -1):
-            w = pm[cc]
-            if w is not None:
-                lo = w + 1
-                break
-        for cc in range(c + 1, len(pm)):
-            w = pm[cc]
-            if w is not None:
-                hi = w - 1
-                break
-        return lo, hi
+        """The digits (lo, hi) that match pm can consume for pattern value c."""
+        if pm[c] is not None:
+            return pm[c], pm[c]
+        below = [v for v in pm[:c] if v is not None]
+        above = [v for v in pm[c + 1 :] if v is not None]
+        return below[-1] + 1 if below else 0, above[0] - 1 if above else self.max_digit
 
     def completes(self, d: int) -> int:
-        """Bitmask of the digits that complete the pattern once d is appended.
+        """Bitmask of the digits that complete a pattern once d is appended.
 
         These are the windows of the matches with k-2 positions filled that
         can consume d (the empty match when k = 2), each extended by d: push
@@ -178,42 +182,62 @@ class _PatternTracker:
         """
         return self.done[d][-1]
 
+    def closings(self, d: int) -> list:
+        """The matches with k-2 positions filled that push(d) would add, as
+        (seen set, match, lo, hi, closing, rel): each can consume the digits
+        lo..hi as position k-2, and its closing mask for such a digit e is
+        closing & rel[e].  So after push(d), completes(e) is completes(e) now
+        ORed with closing & rel[e] for each entry with lo <= e <= hi."""
+        out = []
+        for p, last, memo, accept, seen, rel in self.slots:
+            if not last:
+                continue
+            c = p[last - 1]
+            known = seen[last]
+            for pm in accept[last - 1][d]:
+                pm = _extend(pm, c, d)
+                if pm in known:
+                    continue
+                got = memo.get(pm)
+                if got is None:
+                    lo, hi = self.window(pm, p[-2])
+                    lo1, hi1 = self.window(pm, p[-1])
+                    got = memo[pm] = lo, hi, (2 << hi1) - (1 << lo1) if lo1 <= hi1 else 0
+                out.append((known, pm, *got, rel))
+        return out
+
     def push(self, d: int) -> list:
         """Append digit d; returns a trail for undo."""
-        p = self.pattern
-        last = self.k - 2
-        fresh = [(1, _extend(self.empty, p[0], d))] if last else []
-        # the new matches join the buckets only after every bucket is read,
-        # so none of them consumes this same d
-        for j in range(1, last):
-            cj = p[j]
-            fresh.extend((j + 1, _extend(pm, cj, d)) for pm in self.accept[j][d])
+        # every bucket is read before a new match joins one, so that none
+        # of them consumes this same d
+        closings = self.closings(d)
         trail = []
-        for j2, pm2 in fresh:
-            seen = self.seen[j2]
-            if pm2 in seen:
-                continue
-            seen.add(pm2)
-            lo, hi = self.window(pm2, p[j2])
-            trail.append((j2, pm2, lo, hi))
-            if j2 < last:
-                level = self.accept[j2]
+        for p, last, _, accept, seen, _ in self.slots:
+            fresh = [
+                (j + 1, _extend(pm, p[j], d)) for j in range(last - 1) for pm in accept[j][d]
+            ]
+            for j2, pm2 in fresh:
+                known = seen[j2]
+                if pm2 not in known:
+                    known.add(pm2)
+                    lo, hi = self.window(pm2, p[j2])
+                    level = accept[j2]
+                    for dd in range(lo, hi + 1):
+                        level[dd].append(pm2)
+                    trail.append((known, pm2, level, lo, hi))
+        done = self.done
+        for known, pm2, lo, hi, closing, rel in closings:
+            if pm2 not in known:  # two stored matches can make the same one
+                known.add(pm2)
                 for dd in range(lo, hi + 1):
-                    level[dd].append(pm2)
-                continue
-            lo1, hi1 = self.window(pm2, p[-1])
-            closing = (2 << hi1) - (1 << lo1) if lo1 <= hi1 else 0
-            done, rel = self.done, self.rel
-            for dd in range(lo, hi + 1):
-                stack = done[dd]
-                stack.append(stack[-1] | closing & rel[dd])
+                    stack = done[dd]
+                    stack.append(stack[-1] | closing & rel[dd])
+                trail.append((known, pm2, done, lo, hi))
         return trail
 
     def undo(self, trail: list) -> None:
-        last = self.k - 2
-        for j2, pm2, lo, hi in reversed(trail):
-            self.seen[j2].remove(pm2)
-            level = self.accept[j2] if j2 < last else self.done
+        for known, pm2, level, lo, hi in reversed(trail):
+            known.remove(pm2)
             for dd in range(lo, hi + 1):
                 level[dd].pop()
 
@@ -227,7 +251,7 @@ def contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
         return True
     # reducing first keeps every digit a valid bucket index
     w = reduce(word)
-    tracker = _PatternTracker(p, max(w))
+    tracker = _PatternTracker((p,), max(w))
     forbid = 0
     for x in w:
         if forbid >> x & 1:
@@ -251,8 +275,11 @@ def valid_append_set(
 ) -> tuple[int, ...]:
     """All digits whose append keeps the sequence inside the avoidance class.
 
-    Returns the digits in increasing order.  The last digit of seq is always
-    a member: repeating it creates no ascent and no new pattern occurrence.
+    Returns the digits in increasing order.  When seq is an avoider and no
+    pattern ends in two equal values, the last digit of seq is a member:
+    repeating it creates no ascent, and an occurrence ending at the repeat
+    would end at the original.  A pattern ending in a repeated value breaks
+    this: valid_append_set((0,), [(0, 0)]) is (1,).
     """
     w = tuple(seq)
     B = _normalize_patterns(patterns)
@@ -261,25 +288,25 @@ def valid_append_set(
         return ()
     # shift so that every digit of seq and every candidate is a bucket index
     lo = min(0, *w)
-    max_digit = max(top, *w) - lo
-    trackers = [_PatternTracker(p, max_digit) for p in B]
+    tracker = _PatternTracker(B, max(top, *w) - lo)
     forbid = 0
     for x in w:
-        for t in trackers:
-            forbid |= t.completes(x - lo)
-            t.push(x - lo)
+        forbid |= tracker.completes(x - lo)
+        tracker.push(x - lo)
     return tuple(d for d in range(top + 1) if not forbid >> (d - lo) & 1)
 
 
 # ---------------------------------------------------------------------------
-# Depth-first walk from the empty word: one tracker per pattern follows the
-# current word, and rec gets the word's forbid mask from its parent: the
-# parent's mask with the trackers' completes() for the word's last digit.
-# A word's appendable digits are the digits up to asc + 1 that its mask
-# leaves free; the empty word has asc = -1 and a last digit of -1, so its
-# one kid is (0,), whose 0 counts as an ascent.  Words of length n_max - 1
-# are neither pushed nor passed to rec, as a call per word costs more than
-# the loop body: their parent reads their masks in its kid loop.
+# Depth-first walk from the empty word: one tracker follows the current word,
+# and rec gets the word's forbid mask from its parent: the parent's mask with
+# the tracker's completes() for the word's last digit.  A word's appendable
+# digits are the digits up to asc + 1 that its mask leaves free; the empty
+# word has asc = -1 and a last digit of -1, so its one kid is (0,), whose 0
+# counts as an ascent.  Words of length n_max - 1 and n_max - 2 are neither
+# pushed nor passed to rec, as a call per word costs more than the loop body:
+# their parent reads their masks in its kid loop.  A kid d of length n_max - 2
+# reads its own kids' masks off done and off closings(d), what push(d) would
+# add to done.
 # ---------------------------------------------------------------------------
 
 
@@ -297,7 +324,8 @@ def _walk(
     counts = [0] * (n_max + 1)
     if n_max < 1 or any(len(p) == 1 for p in patterns):
         return counts  # a single-value pattern occurs in every nonempty word: no visit
-    trackers = [_PatternTracker(p, n_max - 1) for p in patterns if len(p) <= n_max]
+    tracker = _PatternTracker([p for p in patterns if len(p) <= n_max], n_max - 1)
+    done = tracker.done
     seq: list[int] = []
 
     def rec(depth: int, asc: int, forbid: int) -> None:
@@ -309,23 +337,35 @@ def _walk(
             return  # n_max = 1: the empty word's kids are the longest words
         last = seq[-1] if depth else -1
         for d in kids:
-            child = forbid
-            for t in trackers:
-                child |= t.completes(d)
+            child = forbid | done[d][-1]
             kid_asc = asc + 1 if d > last else asc
-            if depth + 2 < n_max:
-                trails = [t.push(d) for t in trackers]
+            if depth + 3 < n_max:
+                trail = tracker.push(d)
                 seq.append(d)
                 rec(depth + 1, kid_asc, child)
                 seq.pop()
-                for t, tr in zip(trackers, trails):
-                    t.undo(tr)
+                tracker.undo(trail)
                 continue
             top = kid_asc + 1
             leaf = ~child & ((2 << top) - 1)
-            counts[n_max] += leaf.bit_count()
+            counts[depth + 2] += leaf.bit_count()
             if visit is not None:
                 visit((*seq, d), tuple([x for x in range(top + 1) if leaf >> x & 1]))
+            if depth + 2 == n_max:
+                continue
+            closings = tracker.closings(d)
+            for e in range(top + 1):
+                if not leaf >> e & 1:
+                    continue
+                grand = child | done[e][-1]
+                for _, _, lo, hi, closing, rel in closings:
+                    if lo <= e <= hi:
+                        grand |= closing & rel[e]
+                e_top = top + 1 if e > d else top
+                grand = ~grand & ((2 << e_top) - 1)
+                counts[n_max] += grand.bit_count()
+                if visit is not None:
+                    visit((*seq, d, e), tuple([x for x in range(e_top + 1) if grand >> x & 1]))
 
     rec(0, -1, 0)
     return counts
@@ -399,7 +439,13 @@ def parse_sequence(text: str) -> Word:
     return tuple(int(ch) for ch in s)
 
 
+# byte d -> the ASCII digit of d, for d in 0..9
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def format_sequence(seq: Sequence[int]) -> str:
+    if seq and 0 <= min(seq) and max(seq) <= 9:
+        return bytes(seq).translate(_DIGITS).decode()
     if any(d > 9 for d in seq):
         return ".".join(str(d) for d in seq)
     return "".join(str(d) for d in seq)

@@ -4,6 +4,8 @@ import textwrap
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ascentseq import core, series
 
@@ -138,10 +140,15 @@ def test_valid_append_set_examples():
 
 
 def test_repeating_last_digit_always_allowed():
-    for B in ([(2, 0, 1), (2, 1, 0)], [(0, 0, 2, 1)], [(1, 0, 1, 2)]):
-        for n in range(1, 7):
+    # no pattern of the three classes ends in two equal values, and
+    # gentree_0021's label takes the rank of the last digit among the
+    # appendable ones
+    for B in CLASSES:
+        for n in range(1, 9):
             for a in core.enumerate_avoiders(n, B):
                 assert a[-1] in core.valid_append_set(a, B)
+    # a pattern ending in a repeated value forbids the repeat
+    assert core.valid_append_set((0,), [(0, 0)]) == (1,)
 
 
 def test_unconstrained_children_count_is_asc_plus_two():
@@ -269,6 +276,19 @@ def test_sequence_text_roundtrip():
         core.parse_sequence("")
 
 
+def old_format_sequence(seq):
+    """format_sequence before words of digits 0..9 went through a byte table."""
+    if any(d > 9 for d in seq):
+        return ".".join(str(d) for d in seq)
+    return "".join(str(d) for d in seq)
+
+
+@given(st.lists(st.integers(-3, 15), max_size=12).map(tuple))
+@example(())
+def test_format_sequence_is_the_join(seq):
+    assert core.format_sequence(seq) == old_format_sequence(seq)
+
+
 def test_pattern_text_roundtrip():
     ps = core.parse_patterns("201,210")
     assert ps == ((2, 0, 1), (2, 1, 0))
@@ -358,8 +378,8 @@ def test_visit_reads_valid_append_set_to_8(B):
 
 
 def test_walk_pushes_only_the_words_it_descends_below(monkeypatch):
-    # the words of length n - 1 are read off their parents' masks: a walk
-    # to n pushes each avoider of length 1..n-2 once per tracker
+    # the words of length n - 1 and n - 2 are read off masks: a walk to n
+    # pushes each avoider of length 1..n-3 once
     real = core._PatternTracker.push
     pushes = [0]
 
@@ -373,69 +393,99 @@ def test_walk_pushes_only_the_words_it_descends_below(monkeypatch):
         for n in range(1, 9):
             pushes[0] = 0
             counts = core.count_avoiders(n, B)
-            trackers = sum(len(p) <= n for p in B)
-            assert pushes[0] == trackers * sum(counts[: n - 2]), (B, n)
+            assert pushes[0] == sum(counts[: max(n - 3, 0)]), (B, n)
 
 
 def old_completes(t, d):
-    """completes(d) as the loop it replaced: the OR, over the stored matches
-    with k-2 positions filled (the empty match when k = 2) whose window holds
-    d, of their windows for the last position once they consume d."""
-    p = t.pattern
+    """completes(d) as the loop it replaced: the OR, over every pattern's
+    stored matches with k-2 positions filled (the empty match when k = 2)
+    whose window holds d, of their windows for the last position once they
+    consume d."""
     mask = 0
-    for pm in [t.empty] if t.k == 2 else t.seen[t.k - 2]:
-        lo, hi = t.window(pm, p[-2])
-        if lo <= d <= hi:
-            lo, hi = t.window(core._extend(pm, p[-2], d), p[-1])
-            if lo <= hi:
-                mask |= (2 << hi) - (1 << lo)
+    for p, last, _, accept, seen, _ in t.slots:
+        for pm in seen[last] if last else accept[0][0]:
+            lo, hi = t.window(pm, p[-2])
+            if lo <= d <= hi:
+                lo, hi = t.window(core._extend(pm, p[-2], d), p[-1])
+                if lo <= hi:
+                    mask |= (2 << hi) - (1 << lo)
     return mask
 
 
-@pytest.mark.parametrize(
-    "text", ["201,210", "0021", "1012"] + RANDOM_PATTERN_SETS + ["00", "01", "10"]
-)
-def test_completes_is_the_or_over_stored_matches(text):
-    # drive one tracker per pattern along every avoider up to n = 7
+DRIVEN_SETS = ["201,210", "0021", "1012"] + RANDOM_PATTERN_SETS + ["00", "01", "10"]
+
+
+def drive(text, check):
+    """Drive one tracker for the set along every avoider up to length 7,
+    calling check(tracker, avoider) at each."""
     B = core.parse_patterns(text)
     n, max_digit = 7, 7
     kids = {(): (0,)}
     core.visit_avoiders(n - 1, B, lambda seq, appendable: kids.update({seq: appendable}))
-    trackers = [core._PatternTracker(p, max_digit) for p in B]
+    t = core._PatternTracker(B, max_digit)
     nodes = [0]
 
     def rec(seq):
         nodes[0] += 1
-        for t in trackers:
-            for d in range(max_digit + 1):
-                assert t.completes(d) == old_completes(t, d), (t.pattern, seq, d)
+        check(t, seq)
         if len(seq) == n:
             return
         for d in kids[seq]:
-            trails = [t.push(d) for t in trackers]
+            trail = t.push(d)
             rec(seq + (d,))
-            for t, tr in zip(trackers, trails):
-                t.undo(tr)
+            t.undo(trail)
 
     rec(())
     assert nodes[0] == 1 + sum(core.count_avoiders(n, B))
 
 
+@pytest.mark.parametrize("text", DRIVEN_SETS)
+def test_completes_is_the_or_over_stored_matches(text):
+    def check(t, seq):
+        for d in range(t.max_digit + 1):
+            assert t.completes(d) == old_completes(t, d), (seq, d)
+
+    drive(text, check)
+
+
+@pytest.mark.parametrize("text", DRIVEN_SETS)
+def test_closings_read_what_push_would_add(text):
+    # the walk reads the masks of the words of length n - 1 off the
+    # closings() of their parents, which it does not push
+    def check(t, seq):
+        digits = range(t.max_digit + 1)
+        before = [t.completes(e) for e in digits]
+        for d in digits:
+            closings = t.closings(d)
+            trail = t.push(d)
+            for e in digits:
+                expected = before[e]
+                for _, _, lo, hi, closing, rel in closings:
+                    if lo <= e <= hi:
+                        expected |= closing & rel[e]
+                assert t.completes(e) == expected, (seq, d, e)
+            t.undo(trail)
+
+    drive(text, check)
+
+
 @pytest.mark.parametrize("text", ["201,210", "0021", "1012", "0111,2110,30321"])
 def test_push_and_undo_leave_no_state_behind(text):
+    # memo is left filled: it only caches each match's window and closing
+    # mask, a function of the match
     B = core.parse_patterns(text)
-    fresh = [core._PatternTracker(p, 8) for p in B]
+    fresh = core._PatternTracker(B, 8)
     for word in [(0, 1, 0, 2, 1, 3, 0, 2, 4), (0, 1, 2, 1, 0, 3, 3, 2, 4), (0, 0, 1, 1, 0, 2, 2, 1, 0)]:
-        trackers = [core._PatternTracker(p, 8) for p in B]
-        trails = [[t.push(d) for d in word] for t in trackers]
-        assert any(len(stack) > 1 for t in trackers for stack in t.done), word
-        for t, f, tr in zip(trackers, fresh, trails):
-            for trail in reversed(tr):
-                t.undo(trail)
-            assert all(len(stack) == 1 for stack in t.done), (t.pattern, word)
-            assert [s[0] for s in t.done] == [s[0] for s in f.done], (t.pattern, word)
-            assert not any(b for level in t.accept[1:] for b in level), (t.pattern, word)
-            assert not any(t.seen[1:]), (t.pattern, word)
+        t = core._PatternTracker(B, 8)
+        trails = [t.push(d) for d in word]
+        assert any(len(stack) > 1 for stack in t.done), word
+        for trail in reversed(trails):
+            t.undo(trail)
+        assert all(len(stack) == 1 for stack in t.done), word
+        assert [s[0] for s in t.done] == [s[0] for s in fresh.done], word
+        for p, _, _, accept, seen, _ in t.slots:
+            assert not any(b for level in accept[1:] for b in level), (p, word)
+            assert not any(seen[1:]), (p, word)
 
 
 def _faulty_push(monkeypatch):
@@ -453,7 +503,7 @@ def _leaky_undo(monkeypatch):
     real = core._PatternTracker.undo
 
     def undo(self, trail):
-        leak = [(lo, self.done[lo][-1]) for j2, _, lo, _ in trail if j2 == self.k - 2][:1]
+        leak = [(lo, self.done[lo][-1]) for _, _, level, lo, _ in trail if level is self.done][:1]
         real(self, trail)
         for dd, top in leak:
             self.done[dd].append(top)
@@ -461,17 +511,46 @@ def _leaky_undo(monkeypatch):
     monkeypatch.setattr(core._PatternTracker, "undo", undo)
 
 
-@pytest.mark.parametrize("fault", [_faulty_push, _leaky_undo])
-def test_broken_done_stacks_miscount(monkeypatch, fault):
-    # 0021: on 201,210 and 1012 each closing mask stacked by a walk holds the
-    # ones below it, so only the leaky undo shows there
-    B = [(0, 0, 2, 1)]
-    monkeypatch.setattr(core, "_LAST_COUNT", ((), []))
+def _closings_ignored(monkeypatch):
+    """A walk whose two-level step reads the masks of the words of length
+    n - 1 off done alone, as if their parents added no match."""
+    src = inspect.getsource(core._walk)
+    assert src.count("tracker.closings(d)") == 1
+    namespace = {}
+    exec(textwrap.dedent(src.replace("tracker.closings(d)", "[]")), vars(core), namespace)
+    monkeypatch.setattr(core, "_walk", namespace["_walk"])
+
+
+def _first_pattern_only(monkeypatch):
+    """A set tracker that follows the first pattern of its set alone."""
+    real = core._PatternTracker.__init__
+
+    def init(self, patterns, max_digit):
+        real(self, list(patterns)[:1], max_digit)
+
+    monkeypatch.setattr(core._PatternTracker, "__init__", init)
+
+
+@pytest.mark.parametrize(
+    "fault, texts",
+    [
+        # each row lists every class it miscounts: on 1012 each closing mask
+        # stacked by a walk holds the ones below it, so the faulty push
+        # shows only on the other two
+        pytest.param(_faulty_push, ["201,210", "0021"], id="_faulty_push"),
+        pytest.param(_leaky_undo, ["201,210", "0021", "1012"], id="_leaky_undo"),
+        pytest.param(_closings_ignored, ["201,210", "0021", "1012"], id="_closings_ignored"),
+        pytest.param(_first_pattern_only, ["201,210"], id="_first_pattern_only"),
+    ],
+)
+def test_broken_done_stacks_miscount(monkeypatch, fault, texts):
     fault(monkeypatch)
-    counts = core.count_avoiders(8, B)
-    assert counts != [series.a007317(n) for n in range(1, 9)]
-    naive = [
-        sum(not any(core.contains_naive(w, p) for p in B) for w in all_ascent_sequences(n))
-        for n in range(1, 8)
-    ]
-    assert counts[:7] != naive
+    for text in texts:
+        B = core.parse_patterns(text)
+        monkeypatch.setattr(core, "_LAST_COUNT", ((), []))
+        assert core.count_avoiders(8, B) != [series.a007317(n) for n in range(1, 9)], text
+        naive = [
+            sum(not any(core.contains_naive(w, p) for p in B) for w in all_ascent_sequences(n))
+            for n in range(1, 8)
+        ]
+        assert core._walk(7, B)[1:] != naive, text
