@@ -113,17 +113,19 @@ def _normalize_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Word, ...]:
 # keeps the partial matches with 0..k-3 positions filled against the word
 # pushed so far, bucketed by the digit each would consume next (the empty
 # match sits in every bucket of level 0).  Those with k-2 positions filled are
-# not bucketed: for each digit d, done[d] is a stack whose top is the OR,
-# over all patterns, of their closing masks for d, the digits that complete a
-# pattern once such a match has consumed d (for k = 2, the base entry holds
-# the empty match's mask).  Matches with k-1 positions filled are not stored
+# not stored: each has closing masks, for each digit d the digits that
+# complete its pattern once it has consumed d, and done is a stack with one
+# entry per pushed digit, the OR over all matches of those masks, packed into
+# one integer with max_digit + 1 bits per d (for k = 2 the base entry holds
+# the empty match's masks).  An OR takes in a match twice at no harm, so no
+# set keeps them apart.  Matches with k-1 positions filled are not stored
 # either: the caller keeps the union of their windows, the digits that
 # complete a pattern, as one bitmask called forbid.  Partial matches only grow
 # with the word (old subsequences stay subsequences), so forbid only gains
-# bits, and undo pops what push appended; closings(d) reads what push(d)
-# would stack on done without pushing.  completes(d) must be read before
-# push(d): the matches push(d) creates may not consume that same d.  Digits
-# lie in 0..max_digit.
+# bits, and undo pops what push appended; after(d) reads what push(d) would
+# stack on done without pushing.  completes(d) must be read before push(d):
+# the matches push(d) creates may not consume that same d.  Digits lie in
+# 0..max_digit.
 # ---------------------------------------------------------------------------
 
 
@@ -134,108 +136,104 @@ def _extend(pm: tuple, c: int, x: int) -> tuple:
 
 
 class _PatternTracker:
-    __slots__ = ("max_digit", "slots", "done")
+    __slots__ = ("max_digit", "width", "slots", "done")
 
     def __init__(self, patterns: Iterable[Word], max_digit: int):
         self.max_digit = max_digit
-        # one slot per pattern p of length k: (p, k - 2, memo, accept, seen,
-        # rel).  accept[j][d], 0 <= j <= k-3: partial matches with j
-        # positions filled that can consume d as position j (the empty match
-        # alone for j = 0); seen[j], 1 <= j <= k-2, is the set of matches
-        # with j positions filled: none is stored twice.  rel[d]: the digits
-        # that stand to d as p[-1] stands to p[-2] (above, below or equal).
-        # Consuming d as position k-2 narrows a match's window for p[-1] to
-        # the part that rel[d] holds: its closing mask.  memo maps each match
-        # with k-2 positions filled to its (lo, hi, closing), once computed.
+        self.width = max_digit + 1
+        # one slot per pattern p of length k: (p, k - 2, memo, accept, seen).
+        # accept[j][d], 0 <= j <= k-3: partial matches with j positions
+        # filled that can consume d as position j (the empty match alone for
+        # j = 0); seen[j], 1 <= j <= k-3, is the set of matches with j
+        # positions filled: none is stored twice.  memo maps each match with
+        # k-2 positions filled to its packed closing masks, once computed.
         self.slots = []
-        base = [0] * (max_digit + 1)
+        base = 0
         for p in patterns:
             k = len(p)
-            c2, c1 = p[-2:]
-            rel = [
-                1 << d if c1 == c2 else -(2 << d) if c1 > c2 else (1 << d) - 1
-                for d in range(max_digit + 1)
-            ]
-            accept = [[[(None,) * (max(p) + 1)]] * (max_digit + 1)]
+            empty = (None,) * (max(p) + 1)
+            accept = [[[empty]] * (max_digit + 1)]
             accept += [[[] for _ in range(max_digit + 1)] for _ in range(k - 3)]
-            seen = [None] + [set() for _ in range(k - 2)]
-            self.slots.append((p, k - 2, {}, accept, seen, rel))
+            seen = [None] + [set() for _ in range(k - 3)]
+            self.slots.append((p, k - 2, {}, accept, seen))
             if k == 2:
-                base = [b | r for b, r in zip(base, rel)]
-        full = (2 << max_digit) - 1
-        self.done = [[b & full] for b in base]
+                base |= self.closing(empty, p)
+        self.done = [base]
 
     def window(self, pm: tuple, c: int) -> tuple[int, int]:
         """The digits (lo, hi) that match pm can consume for pattern value c."""
-        if pm[c] is not None:
-            return pm[c], pm[c]
-        below = [v for v in pm[:c] if v is not None]
-        above = [v for v in pm[c + 1 :] if v is not None]
-        return below[-1] + 1 if below else 0, above[0] - 1 if above else self.max_digit
+        v = pm[c]
+        if v is not None:
+            return v, v
+        lo, hi = 0, self.max_digit
+        for cc in range(c - 1, -1, -1):
+            w = pm[cc]
+            if w is not None:
+                lo = w + 1
+                break
+        for cc in range(c + 1, len(pm)):
+            w = pm[cc]
+            if w is not None:
+                hi = w - 1
+                break
+        return lo, hi
+
+    def closing(self, pm: tuple, p: Word) -> int:
+        """The packed closing masks of pm, a match of p with k-2 positions
+        filled: for each digit e it can consume as position k-2, the digits
+        that then complete p, its window for p[-1] once it has consumed e."""
+        packed = 0
+        lo, hi = self.window(pm, p[-2])
+        for e in range(lo, hi + 1):
+            lo1, hi1 = self.window(_extend(pm, p[-2], e), p[-1])
+            if lo1 <= hi1:
+                packed |= (2 << hi1) - (1 << lo1) << e * self.width
+        return packed
 
     def completes(self, d: int) -> int:
-        """Bitmask of the digits that complete a pattern once d is appended.
+        """Bitmask of the digits that complete a pattern once d is appended."""
+        return self.done[-1] >> d * self.width & (1 << self.width) - 1
 
-        These are the windows of the matches with k-2 positions filled that
-        can consume d (the empty match when k = 2), each extended by d: push
-        keeps their OR on top of done[d].
-        """
-        return self.done[d][-1]
-
-    def closings(self, d: int) -> list:
-        """The matches with k-2 positions filled that push(d) would add, as
-        (seen set, match, lo, hi, closing, rel): each can consume the digits
-        lo..hi as position k-2, and its closing mask for such a digit e is
-        closing & rel[e].  So after push(d), completes(e) is completes(e) now
-        ORed with closing & rel[e] for each entry with lo <= e <= hi."""
-        out = []
-        for p, last, memo, accept, seen, rel in self.slots:
+    def after(self, d: int) -> int:
+        """What push(d) stacks on done, read without pushing: the top of done
+        ORed with the packed closing masks of the matches with k-2 positions
+        filled that d makes."""
+        packed = self.done[-1]
+        for p, last, memo, accept, _ in self.slots:
             if not last:
                 continue
             c = p[last - 1]
-            known = seen[last]
             for pm in accept[last - 1][d]:
                 pm = _extend(pm, c, d)
-                if pm in known:
-                    continue
                 got = memo.get(pm)
                 if got is None:
-                    lo, hi = self.window(pm, p[-2])
-                    lo1, hi1 = self.window(pm, p[-1])
-                    got = memo[pm] = lo, hi, (2 << hi1) - (1 << lo1) if lo1 <= hi1 else 0
-                out.append((known, pm, *got, rel))
-        return out
+                    got = memo[pm] = self.closing(pm, p)
+                packed |= got
+        return packed
 
     def push(self, d: int) -> list:
         """Append digit d; returns a trail for undo."""
         # every bucket is read before a new match joins one, so that none
         # of them consumes this same d
-        closings = self.closings(d)
+        self.done.append(self.after(d))
         trail = []
-        for p, last, _, accept, seen, _ in self.slots:
+        for p, last, _, accept, seen in self.slots:
             fresh = [
                 (j + 1, _extend(pm, p[j], d)) for j in range(last - 1) for pm in accept[j][d]
             ]
             for j2, pm2 in fresh:
                 known = seen[j2]
-                if pm2 not in known:
+                if pm2 not in known:  # two stored matches can make the same one
                     known.add(pm2)
                     lo, hi = self.window(pm2, p[j2])
                     level = accept[j2]
                     for dd in range(lo, hi + 1):
                         level[dd].append(pm2)
                     trail.append((known, pm2, level, lo, hi))
-        done = self.done
-        for known, pm2, lo, hi, closing, rel in closings:
-            if pm2 not in known:  # two stored matches can make the same one
-                known.add(pm2)
-                for dd in range(lo, hi + 1):
-                    stack = done[dd]
-                    stack.append(stack[-1] | closing & rel[dd])
-                trail.append((known, pm2, done, lo, hi))
         return trail
 
     def undo(self, trail: list) -> None:
+        self.done.pop()
         for known, pm2, level, lo, hi in reversed(trail):
             known.remove(pm2)
             for dd in range(lo, hi + 1):
@@ -299,14 +297,15 @@ def valid_append_set(
 # ---------------------------------------------------------------------------
 # Depth-first walk from the empty word: one tracker follows the current word,
 # and rec gets the word's forbid mask from its parent: the parent's mask with
-# the tracker's completes() for the word's last digit.  A word's appendable
-# digits are the digits up to asc + 1 that its mask leaves free; the empty
-# word has asc = -1 and a last digit of -1, so its one kid is (0,), whose 0
-# counts as an ascent.  Words of length n_max - 1 and n_max - 2 are neither
-# pushed nor passed to rec, as a call per word costs more than the loop body:
-# their parent reads their masks in its kid loop.  A kid d of length n_max - 2
-# reads its own kids' masks off done and off closings(d), what push(d) would
-# add to done.
+# completes() of the word's last digit, read off tops, the packed masks that
+# the tracker holds for the parent.  A word's appendable digits are the
+# digits up to asc + 1 that its mask leaves free; the empty word has asc = -1
+# and a last digit of -1, so its one kid is (0,), whose 0 counts as an
+# ascent.  Words of length n_max - 1 are neither pushed nor passed to rec, as
+# a call per word costs more than the loop body: their parent reads their
+# masks in its kid loop.  Words of length n_max - 2 are passed to rec but not
+# pushed, as no word below them reads the tracker's buckets: their tops is
+# after(d), what push(d) would stack on done.
 # ---------------------------------------------------------------------------
 
 
@@ -326,9 +325,11 @@ def _walk(
         return counts  # a single-value pattern occurs in every nonempty word: no visit
     tracker = _PatternTracker([p for p in patterns if len(p) <= n_max], n_max - 1)
     done = tracker.done
+    width = tracker.width
+    full = (1 << width) - 1
     seq: list[int] = []
 
-    def rec(depth: int, asc: int, forbid: int) -> None:
+    def rec(depth: int, asc: int, forbid: int, tops: int) -> None:
         kids = [d for d in range(asc + 2) if not forbid >> d & 1]
         if visit is not None:
             visit(tuple(seq), tuple(kids))
@@ -337,37 +338,27 @@ def _walk(
             return  # n_max = 1: the empty word's kids are the longest words
         last = seq[-1] if depth else -1
         for d in kids:
-            child = forbid | done[d][-1]
+            child = forbid | tops >> d * width & full
             kid_asc = asc + 1 if d > last else asc
             if depth + 3 < n_max:
                 trail = tracker.push(d)
                 seq.append(d)
-                rec(depth + 1, kid_asc, child)
+                rec(depth + 1, kid_asc, child, done[-1])
                 seq.pop()
                 tracker.undo(trail)
                 continue
+            if depth + 2 < n_max:
+                seq.append(d)
+                rec(depth + 1, kid_asc, child, tracker.after(d))
+                seq.pop()
+                continue
             top = kid_asc + 1
             leaf = ~child & ((2 << top) - 1)
-            counts[depth + 2] += leaf.bit_count()
+            counts[n_max] += leaf.bit_count()
             if visit is not None:
                 visit((*seq, d), tuple([x for x in range(top + 1) if leaf >> x & 1]))
-            if depth + 2 == n_max:
-                continue
-            closings = tracker.closings(d)
-            for e in range(top + 1):
-                if not leaf >> e & 1:
-                    continue
-                grand = child | done[e][-1]
-                for _, _, lo, hi, closing, rel in closings:
-                    if lo <= e <= hi:
-                        grand |= closing & rel[e]
-                e_top = top + 1 if e > d else top
-                grand = ~grand & ((2 << e_top) - 1)
-                counts[n_max] += grand.bit_count()
-                if visit is not None:
-                    visit((*seq, d, e), tuple([x for x in range(e_top + 1) if grand >> x & 1]))
 
-    rec(0, -1, 0)
+    rec(0, -1, 0, done[-1])
     return counts
 
 
@@ -444,11 +435,10 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def format_sequence(seq: Sequence[int]) -> str:
-    if seq and 0 <= min(seq) and max(seq) <= 9:
-        return bytes(seq).translate(_DIGITS).decode()
-    if any(d > 9 for d in seq):
+    """The text of a word of non-negative digits."""
+    if max(seq, default=0) > 9:
         return ".".join(str(d) for d in seq)
-    return "".join(str(d) for d in seq)
+    return bytes(seq).translate(_DIGITS).decode()
 
 
 def parse_patterns(text: str) -> tuple[Word, ...]:
