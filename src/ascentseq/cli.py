@@ -109,8 +109,8 @@ def _cmd_count(args, parser) -> int:
 
 
 def _cmd_enumerate(args, parser) -> int:
-    from .core import enumerate_avoiders, format_sequence
-    seqs = [format_sequence(s) for s in enumerate_avoiders(args.n, args.patterns)]
+    from .core import format_avoiders
+    seqs = format_avoiders(args.n, args.patterns)
     obj = {"patterns": args.patterns_text, "n": args.n, "sequences": seqs}
     return _emit(args, obj, chain(["sequence"], seqs), seqs)
 

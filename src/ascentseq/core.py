@@ -12,6 +12,9 @@ creating a forbidden pattern, and one depth-first walk of the avoidance
 class of a pattern set from the empty word.  The walk counts the avoiders
 of every length up to a depth and hands each shorter avoider, with its
 appendable digits, to an optional visitor; enumeration is such a visitor.
+So is its text path: it keeps each avoider of length n - 1 with its
+appendable digits, formats them all in one pass through a byte table, and
+writes each word as its parent's text and one digit.
 All of these run on one incremental dynamic program over pattern prefixes
 (partial assignments of sequence values to pattern values), extended one
 digit at a time by one tracker for the whole pattern set; the digits that
@@ -35,6 +38,7 @@ __all__ = [
     "contains_naive",
     "valid_append_set",
     "enumerate_avoiders",
+    "format_avoiders",
     "count_avoiders",
     "visit_avoiders",
     "parse_sequence",
@@ -377,6 +381,30 @@ def enumerate_avoiders(
             words.extend(seq + (d,) for d in appendable)
 
     _walk(n, _normalize_patterns(patterns), collect)
+    return words
+
+
+def format_avoiders(n: int, patterns: Iterable[Sequence[int]]) -> list[str]:
+    """The text of every avoider of length n, in lexicographic order:
+    [format_sequence(w) for w in enumerate_avoiders(n, patterns)]."""
+    if n > 10:  # a word may hold a digit above 9, which takes the dotted form
+        return [format_sequence(w) for w in enumerate_avoiders(n, patterns)]
+    parents = bytearray()  # the avoiders of length n - 1, back to back
+    kids: list[Word] = []
+
+    def collect(seq: Word, appendable: Word) -> None:
+        if len(seq) == n - 1:
+            parents.extend(seq)
+            kids.append(appendable)
+
+    _walk(n, _normalize_patterns(patterns), collect)
+    text = parents.translate(_DIGITS).decode()
+    digits = _DIGITS[:10].decode()  # "0123456789"
+    m = n - 1
+    words: list[str] = []
+    for i, appendable in enumerate(kids):
+        head = text[i * m : i * m + m]
+        words += [head + digits[d] for d in appendable]
     return words
 
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -97,6 +98,23 @@ def test_enumerate():
     code, out = run(["enumerate", "--patterns", "0021", "--n", "4", "--format", "json"])
     data = json.loads(out)
     assert len(data["sequences"]) == 15
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("text", ["1012", "0021"])
+def test_enumerate_writes_format_sequence_of_each_avoider(text, fmt):
+    words = core.enumerate_avoiders(9, core.parse_patterns(text))
+    seqs = [core.format_sequence(w) for w in words]
+    obj = {"patterns": text, "n": 9, "sequences": seqs}
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        cli._emit(argparse.Namespace(format=fmt, out=None), obj, ["sequence", *seqs], seqs)
+    argv = ["enumerate", "--patterns", text, "--n", "9", "--format", fmt]
+    assert run(argv) == (0, buf.getvalue())
+
+
+def test_enumerate_writes_a_digit_above_9_dotted():
+    assert run(["enumerate", "--patterns", "00", "--n", "11"]) == (0, "0.1.2.3.4.5.6.7.8.9.10\n")
 
 
 def test_table_pair():

@@ -370,6 +370,48 @@ def test_count_enumerate_and_visit_agree_at_8_and_9(monkeypatch, text):
         assert count == len(core.enumerate_avoiders(n, B)) == visited[0], n
 
 
+@pytest.mark.parametrize(
+    "text, depths",
+    [(text, range(11)) for text in ("201,210", "0021", "1012")]
+    + [(text, range(9)) for text in RANDOM_PATTERN_SETS]
+    # the empty set, and 0, whose class is empty; the one avoider of 00 of
+    # length 11 or 12 holds a digit above 9
+    + [("", range(8)), ("0", range(9)), ("00", (10, 11, 12))],
+)
+def test_format_avoiders_is_format_sequence_of_each_avoider(text, depths):
+    B = core.parse_patterns(text) if text else ()
+    for n in depths:
+        assert core.format_avoiders(n, B) == [
+            core.format_sequence(w) for w in core.enumerate_avoiders(n, B)
+        ], n
+    if text == "00":
+        assert core.format_avoiders(11, B) == ["0.1.2.3.4.5.6.7.8.9.10"]
+
+
+def _head_off_by_one(monkeypatch):
+    """format_avoiders that slices each parent's text one character late."""
+    src = inspect.getsource(core.format_avoiders)
+    assert src.count("text[i * m : i * m + m]") == 1
+    namespace = {}
+    src = src.replace("text[i * m : i * m + m]", "text[i * m + 1 : i * m + m + 1]")
+    exec(textwrap.dedent(src), vars(core), namespace)
+    monkeypatch.setattr(core, "format_avoiders", namespace["format_avoiders"])
+
+
+def _shifted_digit_table(monkeypatch):
+    """A byte table that writes each digit d as d + 1 (and 9 as 0)."""
+    monkeypatch.setattr(core, "_DIGITS", bytes.maketrans(bytes(range(10)), b"1234567890"))
+
+
+@pytest.mark.parametrize("fault", [_head_off_by_one, _shifted_digit_table])
+def test_broken_format_avoiders_misspells(monkeypatch, fault):
+    # the join is the reference: a shifted table would shift format_sequence too
+    fault(monkeypatch)
+    for B in CLASSES:
+        expected = [old_format_sequence(w) for w in core.enumerate_avoiders(6, B)]
+        assert core.format_avoiders(6, B) != expected, B
+
+
 @pytest.mark.parametrize("B", CLASSES)
 def test_visit_reads_valid_append_set_to_8(B):
     # the avoiders of length 8 are the deepest the walk reaches: they are
