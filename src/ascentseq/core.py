@@ -20,7 +20,9 @@ All of these run on one incremental dynamic program over pattern prefixes
 digit at a time by one tracker for the whole pattern set; the digits that
 would complete a pattern form one bitmask.  The walk pushes no word of
 the last two lengths below its depth: it reads their masks off the
-tracker.  A naive scan over all index subsequences is kept as the test
+tracker.  When it only counts, a word two below its depth adds counts
+that depend on four integers alone, so each distinct four is counted once
+per walk.  A naive scan over all index subsequences is kept as the test
 oracle.
 """
 
@@ -114,7 +116,7 @@ def _normalize_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Word, ...]:
 # strictly between the nearest assigned values below and above p[j].
 #
 # One tracker follows a whole pattern set.  For each pattern of length k it
-# keeps the partial matches with 0..k-3 positions filled against the word
+# keeps the partial matches with 0..k-4 positions filled against the word
 # pushed so far, bucketed by the digit each would consume next (the empty
 # match sits in every bucket of level 0).  Those with k-2 positions filled are
 # not stored: each has closing masks, for each digit d the digits that
@@ -122,14 +124,18 @@ def _normalize_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Word, ...]:
 # entry per pushed digit, the OR over all matches of those masks, packed into
 # one integer with max_digit + 1 bits per d (for k = 2 the base entry holds
 # the empty match's masks).  An OR takes in a match twice at no harm, so no
-# set keeps them apart.  Matches with k-1 positions filled are not stored
-# either: the caller keeps the union of their windows, the digits that
-# complete a pattern, as one bitmask called forbid.  Partial matches only grow
-# with the word (old subsequences stay subsequences), so forbid only gains
-# bits, and undo pops what push appended; after(d) reads what push(d) would
-# stack on done without pushing.  completes(d) must be read before push(d):
-# the matches push(d) creates may not consume that same d.  Digits lie in
-# 0..max_digit.
+# set keeps them apart.  Those with k-3 positions filled are stored only as
+# what they add to done: gain[d] is a stack per digit whose top is the OR of
+# the packed closing masks of the matches with k-2 positions filled that
+# appending d would make (for k = 3 the base entries hold the empty match's).
+# Matches with k-1 positions filled are not stored either: the caller keeps
+# the union of their windows, the digits that complete a pattern, as one
+# bitmask called forbid.  Partial matches only grow with the word (old
+# subsequences stay subsequences), so forbid only gains bits, and undo pops
+# what push appended; after(d), the top of done ORed with the top of gain[d],
+# is what push(d) would stack on done, read without pushing.  completes(d)
+# must be read before push(d): the matches push(d) creates may not consume
+# that same d.  Digits lie in 0..max_digit.
 # ---------------------------------------------------------------------------
 
 
@@ -140,29 +146,36 @@ def _extend(pm: tuple, c: int, x: int) -> tuple:
 
 
 class _PatternTracker:
-    __slots__ = ("max_digit", "width", "slots", "done")
+    __slots__ = ("max_digit", "width", "slots", "done", "gain")
 
     def __init__(self, patterns: Iterable[Word], max_digit: int):
         self.max_digit = max_digit
         self.width = max_digit + 1
         # one slot per pattern p of length k: (p, k - 2, memo, accept, seen).
-        # accept[j][d], 0 <= j <= k-3: partial matches with j positions
+        # accept[j][d], 0 <= j <= k-4: partial matches with j positions
         # filled that can consume d as position j (the empty match alone for
         # j = 0); seen[j], 1 <= j <= k-3, is the set of matches with j
         # positions filled: none is stored twice.  memo maps each match with
-        # k-2 positions filled to its packed closing masks, once computed.
+        # k-3 positions filled to the packed closing masks of the matches it
+        # makes, one per digit of its window, once computed.
         self.slots = []
         base = 0
+        gain = [0] * self.width
         for p in patterns:
             k = len(p)
             empty = (None,) * (max(p) + 1)
-            accept = [[[empty]] * (max_digit + 1)]
-            accept += [[[] for _ in range(max_digit + 1)] for _ in range(k - 3)]
+            accept = [[[empty]] * self.width] if k > 3 else []
+            accept += [[[] for _ in range(self.width)] for _ in range(k - 4)]
             seen = [None] + [set() for _ in range(k - 3)]
-            self.slots.append((p, k - 2, {}, accept, seen))
+            slot = (p, k - 2, {}, accept, seen)
+            self.slots.append(slot)
             if k == 2:
                 base |= self.closing(empty, p)
+            elif k == 3:  # the empty match's window is every digit
+                for d, got in enumerate(self.made(slot, empty)):
+                    gain[d] |= got
         self.done = [base]
+        self.gain = [[g] for g in gain]
 
     def window(self, pm: tuple, c: int) -> tuple[int, int]:
         """The digits (lo, hi) that match pm can consume for pattern value c."""
@@ -198,30 +211,31 @@ class _PatternTracker:
         """Bitmask of the digits that complete a pattern once d is appended."""
         return self.done[-1] >> d * self.width & (1 << self.width) - 1
 
+    def made(self, slot: tuple, pm: tuple) -> list[int]:
+        """The packed closing masks of the matches pm, a match with k-3
+        positions filled, makes: one per digit of its window, lowest first."""
+        p, last, memo, _, _ = slot
+        got = memo.get(pm)
+        if got is None:
+            c = p[last - 1]
+            lo, hi = self.window(pm, c)
+            got = memo[pm] = [self.closing(_extend(pm, c, e), p) for e in range(lo, hi + 1)]
+        return got
+
     def after(self, d: int) -> int:
         """What push(d) stacks on done, read without pushing: the top of done
         ORed with the packed closing masks of the matches with k-2 positions
         filled that d makes."""
-        packed = self.done[-1]
-        for p, last, memo, accept, _ in self.slots:
-            if not last:
-                continue
-            c = p[last - 1]
-            for pm in accept[last - 1][d]:
-                pm = _extend(pm, c, d)
-                got = memo.get(pm)
-                if got is None:
-                    got = memo[pm] = self.closing(pm, p)
-                packed |= got
-        return packed
+        return self.done[-1] | self.gain[d][-1]
 
     def push(self, d: int) -> list:
         """Append digit d; returns a trail for undo."""
-        # every bucket is read before a new match joins one, so that none
-        # of them consumes this same d
+        # every bucket and gain stack is read before a new match joins one,
+        # so that none of them consumes this same d
         self.done.append(self.after(d))
         trail = []
-        for p, last, _, accept, seen in self.slots:
+        for slot in self.slots:
+            p, last, _, accept, seen = slot
             fresh = [
                 (j + 1, _extend(pm, p[j], d)) for j in range(last - 1) for pm in accept[j][d]
             ]
@@ -230,9 +244,14 @@ class _PatternTracker:
                 if pm2 not in known:  # two stored matches can make the same one
                     known.add(pm2)
                     lo, hi = self.window(pm2, p[j2])
-                    level = accept[j2]
-                    for dd in range(lo, hi + 1):
-                        level[dd].append(pm2)
+                    if j2 < last - 1:
+                        level = accept[j2]
+                        for dd in range(lo, hi + 1):
+                            level[dd].append(pm2)
+                    else:
+                        level = self.gain
+                        for dd, got in enumerate(self.made(slot, pm2), lo):
+                            level[dd].append(level[dd][-1] | got)
                     trail.append((known, pm2, level, lo, hi))
         return trail
 
@@ -307,9 +326,12 @@ def valid_append_set(
 # and a last digit of -1, so its one kid is (0,), whose 0 counts as an
 # ascent.  Words of length n_max - 1 are neither pushed nor passed to rec, as
 # a call per word costs more than the loop body: their parent reads their
-# masks in its kid loop.  Words of length n_max - 2 are passed to rec but not
-# pushed, as no word below them reads the tracker's buckets: their tops is
-# after(d), what push(d) would stack on done.
+# masks in its kid loop.  Words of length n_max - 2 are not pushed, as no
+# word below them reads the tracker's buckets: their tops is after(d), what
+# push(d) would stack on done.  With a visitor each is passed to rec, which
+# must see every word.  Without one, what rec adds to the last two counts
+# depends only on (asc, last digit, forbid, tops): a table local to the walk
+# holds those two numbers per distinct key, and rec runs once per key.
 # ---------------------------------------------------------------------------
 
 
@@ -332,28 +354,40 @@ def _walk(
     width = tracker.width
     full = (1 << width) - 1
     seq: list[int] = []
+    table: dict[tuple[int, int, int, int], tuple[int, int]] = {}
 
-    def rec(depth: int, asc: int, forbid: int, tops: int) -> None:
+    def rec(depth: int, asc: int, last: int, forbid: int, tops: int) -> None:
         kids = [d for d in range(asc + 2) if not forbid >> d & 1]
         if visit is not None:
             visit(tuple(seq), tuple(kids))
         counts[depth + 1] += len(kids)
         if depth + 1 == n_max:
             return  # n_max = 1: the empty word's kids are the longest words
-        last = seq[-1] if depth else -1
         for d in kids:
             child = forbid | tops >> d * width & full
             kid_asc = asc + 1 if d > last else asc
             if depth + 3 < n_max:
                 trail = tracker.push(d)
                 seq.append(d)
-                rec(depth + 1, kid_asc, child, done[-1])
+                rec(depth + 1, kid_asc, d, child, done[-1])
                 seq.pop()
                 tracker.undo(trail)
                 continue
             if depth + 2 < n_max:
+                kid_tops = tracker.after(d)
+                if visit is None:
+                    key = (kid_asc, d, child, kid_tops)
+                    got = table.get(key)
+                    if got is None:  # rec counts the word; the table keeps what it added
+                        before = counts[n_max - 1], counts[n_max]
+                        rec(depth + 1, kid_asc, d, child, kid_tops)
+                        table[key] = counts[n_max - 1] - before[0], counts[n_max] - before[1]
+                    else:
+                        counts[n_max - 1] += got[0]
+                        counts[n_max] += got[1]
+                    continue
                 seq.append(d)
-                rec(depth + 1, kid_asc, child, tracker.after(d))
+                rec(depth + 1, kid_asc, d, child, kid_tops)
                 seq.pop()
                 continue
             top = kid_asc + 1
@@ -362,7 +396,7 @@ def _walk(
             if visit is not None:
                 visit((*seq, d), tuple([x for x in range(top + 1) if leaf >> x & 1]))
 
-    rec(0, -1, 0, done[-1])
+    rec(0, -1, -1, 0, done[-1])
     return counts
 
 

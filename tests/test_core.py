@@ -354,12 +354,14 @@ def test_walk_matches_naive_oracle_on_random_pattern_sets(monkeypatch, text):
 
 @pytest.mark.parametrize("text", ["201,210", "0021", "1012"] + RANDOM_PATTERN_SETS)
 def test_count_enumerate_and_visit_agree_at_8_and_9(monkeypatch, text):
-    # past the naive oracle's reach: counting takes the popcount of each
-    # deepest word's mask, enumerating lists its set bits, and visiting
-    # reads the length-n words' masks in their parents' kid loops
+    # past the naive oracle's reach: counting reads the words of length
+    # n - 1 and n off a per-walk table keyed by their parents' state,
+    # enumerating lists each deepest word's set bits, and visiting reads
+    # the length-n words' masks in their parents' kid loops; the paper's
+    # three classes go on to n = 10
     monkeypatch.setattr(core, "_LAST_COUNT", ((), []))
     B = core.parse_patterns(text)
-    for n in (8, 9):
+    for n in (8, 9, 10) if text in ("201,210", "0021", "1012") else (8, 9):
         visited = [0]
 
         def visit(seq, appendable):
@@ -368,6 +370,12 @@ def test_count_enumerate_and_visit_agree_at_8_and_9(monkeypatch, text):
         core.visit_avoiders(n, B, visit)
         count = core.count_avoiders(n, B)[-1]
         assert count == len(core.enumerate_avoiders(n, B)) == visited[0], n
+
+
+@pytest.mark.parametrize("B", CLASSES)
+def test_count_to_13_is_a007317(monkeypatch, B):
+    monkeypatch.setattr(core, "_LAST_COUNT", ((), []))
+    assert core.count_avoiders(13, B) == [series.a007317(n) for n in range(1, 14)]
 
 
 @pytest.mark.parametrize(
@@ -565,6 +573,7 @@ def test_push_and_undo_leave_no_state_behind(text):
         for trail in reversed(trails):
             t.undo(trail)
         assert t.done == fresh.done, word
+        assert t.gain == fresh.gain and all(len(g) == 1 for g in t.gain), word
         for p, _, _, accept, seen in t.slots:
             assert not any(b for level in accept[1:] for b in level), (p, word)
             assert not any(seen[1:]), (p, word)
@@ -574,9 +583,9 @@ def _faulty_push(monkeypatch):
     """push, and the walk's read of an unpushed word, that stack the new
     closing masks alone, dropping the OR with the masks below them."""
     src = inspect.getsource(core._PatternTracker.after)
-    assert src.count("packed = self.done[-1]") == 1
+    assert src.count("self.done[-1] | self.gain[d][-1]") == 1
     namespace = {}
-    exec(textwrap.dedent(src.replace("packed = self.done[-1]", "packed = 0")), vars(core), namespace)
+    exec(textwrap.dedent(src.replace("self.done[-1] | self.gain[d][-1]", "self.gain[d][-1]")), vars(core), namespace)
     monkeypatch.setattr(core._PatternTracker, "after", namespace["after"])
 
 
@@ -636,3 +645,40 @@ def test_broken_done_stacks_miscount(monkeypatch, fault, texts):
             for n in range(1, 8)
         ]
         assert core._walk(7, B)[1:] != naive, text
+
+
+def _key_without(part):
+    """A walk whose table of words of length n - 2 drops part from its key,
+    still counting each new key's words from all four values."""
+
+    def fault(monkeypatch):
+        src = inspect.getsource(core._walk)
+        parts = ["kid_asc", "d", "child", "kid_tops"]
+        key = f"key = ({', '.join(parts)})"
+        short = f"key = ({', '.join(x for x in parts if x != part)})"
+        assert src.count(key) == 1 and short != key
+        namespace = {}
+        exec(textwrap.dedent(src.replace(key, short)), vars(core), namespace)
+        monkeypatch.setattr(core, "_walk", namespace["_walk"])
+
+    return fault
+
+
+@pytest.mark.parametrize(
+    "fault, texts",
+    [
+        # each row lists every class it miscounts by n = 9
+        pytest.param(_key_without("kid_asc"), ["201,210", "0021"], id="no_kid_asc"),
+        pytest.param(_key_without("d"), ["201,210", "0021"], id="no_last_digit"),
+        pytest.param(_key_without("child"), ["201,210", "0021", "1012"], id="no_forbid"),
+        pytest.param(_key_without("kid_tops"), ["0021", "1012"], id="no_tops"),
+    ],
+)
+def test_broken_leaf_table_key_miscounts(monkeypatch, fault, texts):
+    fault(monkeypatch)
+    for text in texts:
+        B = core.parse_patterns(text)
+        assert any(
+            core._walk(n, B)[1:] != [series.a007317(m) for m in range(1, n + 1)]
+            for n in range(1, 10)
+        ), text
