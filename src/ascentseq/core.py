@@ -20,10 +20,9 @@ All of these run on one incremental dynamic program over pattern prefixes
 digit at a time by one tracker for the whole pattern set; the digits that
 would complete a pattern form one bitmask.  The walk pushes no word of
 the last two lengths below its depth: it reads their masks off the
-tracker.  When it only counts, a word two below its depth adds counts
-that depend on four integers alone, so each distinct four is counted once
-per walk.  A naive scan over all index subsequences is kept as the test
-oracle.
+tracker.  When it only counts, it keeps the counts below each word on
+what the walk reads there, so no such state is walked twice.  A naive
+scan over all index subsequences is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -319,19 +318,19 @@ def valid_append_set(
 
 # ---------------------------------------------------------------------------
 # Depth-first walk from the empty word: one tracker follows the current word,
-# and rec gets the word's forbid mask from its parent: the parent's mask with
+# and each word gets its forbid mask from its parent: the parent's mask with
 # completes() of the word's last digit, read off tops, the packed masks that
 # the tracker holds for the parent.  A word's appendable digits are the
 # digits up to asc + 1 that its mask leaves free; the empty word has asc = -1
 # and a last digit of -1, so its one kid is (0,), whose 0 counts as an
-# ascent.  Words of length n_max - 1 are neither pushed nor passed to rec, as
-# a call per word costs more than the loop body: their parent reads their
-# masks in its kid loop.  Words of length n_max - 2 are not pushed, as no
-# word below them reads the tracker's buckets: their tops is after(d), what
-# push(d) would stack on done.  With a visitor each is passed to rec, which
-# must see every word.  Without one, what rec adds to the last two counts
-# depends only on (asc, last digit, forbid, tops): a table local to the walk
-# holds those two numbers per distinct key, and rec runs once per key.
+# ascent.  Words of length n_max - 1 get no call: their parent reads their
+# masks in its kid loop.  Words of length n_max - 2 are not pushed: their
+# tops is after(d), what push(d) would stack on done.  With a visitor, rec
+# hands every word to it.  Without one, count returns the counts of the r
+# lengths below a word, which depend only on what the walk reads there: asc,
+# the last digit, forbid and tops; for r = 3 the gain tops after() reads; for
+# r >= 4 each slot's seen sets, which fix its accept buckets and the gain tops.
+# A memo local to the walk keeps one count list per distinct key.
 # ---------------------------------------------------------------------------
 
 
@@ -350,58 +349,68 @@ def _walk(
     if n_max < 1 or any(len(p) == 1 for p in patterns):
         return counts  # a single-value pattern occurs in every nonempty word: no visit
     tracker = _PatternTracker([p for p in patterns if len(p) <= n_max], n_max - 1)
-    done = tracker.done
+    done, gain, slots = tracker.done, tracker.gain, tracker.slots
     width = tracker.width
     full = (1 << width) - 1
     seq: list[int] = []
-    table: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+    memo: dict[tuple, list[int]] = {}
 
     def rec(depth: int, asc: int, last: int, forbid: int, tops: int) -> None:
         kids = [d for d in range(asc + 2) if not forbid >> d & 1]
-        if visit is not None:
-            visit(tuple(seq), tuple(kids))
+        visit(tuple(seq), tuple(kids))
         counts[depth + 1] += len(kids)
         if depth + 1 == n_max:
             return  # n_max = 1: the empty word's kids are the longest words
         for d in kids:
             child = forbid | tops >> d * width & full
             kid_asc = asc + 1 if d > last else asc
+            if depth + 2 == n_max:
+                leaf = ~child & ((4 << kid_asc) - 1)
+                counts[n_max] += leaf.bit_count()
+                visit((*seq, d), tuple([x for x in range(kid_asc + 2) if leaf >> x & 1]))
+                continue
+            seq.append(d)
             if depth + 3 < n_max:
                 trail = tracker.push(d)
-                seq.append(d)
                 rec(depth + 1, kid_asc, d, child, done[-1])
-                seq.pop()
                 tracker.undo(trail)
-                continue
-            if depth + 2 < n_max:
-                kid_tops = tracker.after(d)
-                if visit is None:
-                    key = (kid_asc, d, child, kid_tops)
-                    got = table.get(key)
-                    if got is None:  # rec counts the word; the table keeps what it added
-                        before = counts[n_max - 1], counts[n_max]
-                        rec(depth + 1, kid_asc, d, child, kid_tops)
-                        table[key] = counts[n_max - 1] - before[0], counts[n_max] - before[1]
-                    else:
-                        counts[n_max - 1] += got[0]
-                        counts[n_max] += got[1]
-                    continue
-                seq.append(d)
-                rec(depth + 1, kid_asc, d, child, kid_tops)
-                seq.pop()
-                continue
-            top = kid_asc + 1
-            leaf = ~child & ((2 << top) - 1)
-            counts[n_max] += leaf.bit_count()
-            if visit is not None:
-                visit((*seq, d), tuple([x for x in range(top + 1) if leaf >> x & 1]))
+            else:
+                rec(depth + 1, kid_asc, d, child, tracker.after(d))
+            seq.pop()
 
-    rec(0, -1, -1, 0, done[-1])
+    def count(r: int, asc: int, last: int, forbid: int, tops: int) -> list[int]:
+        key = (r, asc, last, forbid, tops)
+        if r == 3:
+            key += tuple([g[-1] for g in gain])
+        elif r > 3:
+            key += tuple([frozenset(s) for *_, seen in slots for s in seen[1:]])
+        got = memo.get(key)
+        if got is not None:
+            return got
+        kids = [d for d in range(asc + 2) if not forbid >> d & 1]
+        got = [len(kids)] + [0] * (r - 1)
+        for d in kids if r > 1 else ():  # r = 1: the root of a walk to n_max = 1
+            child = forbid | tops >> d * width & full
+            kid_asc = asc + 1 if d > last else asc
+            if r == 2:
+                got[1] += (~child & ((4 << kid_asc) - 1)).bit_count()
+                continue
+            if r > 3:
+                trail = tracker.push(d)
+                below = count(r - 1, kid_asc, d, child, done[-1])
+                tracker.undo(trail)
+            else:
+                below = count(2, kid_asc, d, child, tracker.after(d))
+            for i, c in enumerate(below, 1):
+                got[i] += c
+        memo[key] = got
+        return got
+
+    if visit is None:
+        counts[1:] = count(n_max, -1, -1, 0, done[-1])
+    else:
+        rec(0, -1, -1, 0, done[-1])
     return counts
-
-
-# the last pattern set count_avoiders walked and its counts
-_LAST_COUNT: tuple[tuple[Word, ...], list[int]] = ((), [])
 
 
 def enumerate_avoiders(
@@ -443,21 +452,11 @@ def format_avoiders(n: int, patterns: Iterable[Sequence[int]]) -> list[str]:
 
 
 def count_avoiders(n_max: int, patterns: Iterable[Sequence[int]]) -> list[int]:
-    """Sizes of the avoidance class for lengths 1..n_max.
-
-    Counting walks the extension tree without materialising the sequences.
-    Only the last pattern set walked keeps its counts: a request for it at
-    the same or a smaller depth gets a copy, and any other request walks.
-    """
-    global _LAST_COUNT
+    """Sizes of the avoidance class for lengths 1..n_max, counted without
+    materialising the sequences."""
     if n_max < 1:
         return []
-    B = _normalize_patterns(patterns)
-    last, counts = _LAST_COUNT
-    if last != B or len(counts) < n_max:
-        counts = _walk(n_max, B)[1:]
-        _LAST_COUNT = B, counts
-    return counts[:n_max]
+    return _walk(n_max, _normalize_patterns(patterns))[1:]
 
 
 def visit_avoiders(

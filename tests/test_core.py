@@ -209,35 +209,14 @@ def test_counts_monotone():
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
-def test_count_memo_holds_one_set_unaliased(monkeypatch):
-    real = core._walk
-    walks = []
-
-    def counted(n_max, patterns, visit=None):
-        walks.append((n_max, patterns))
-        return real(n_max, patterns, visit)
-
-    monkeypatch.setattr(core, "_LAST_COUNT", ((), []))
-    monkeypatch.setattr(core, "_walk", counted)
-    a, b = ((0, 0, 2, 1),), ((0, 0, 0),)
-    first = core.count_avoiders(6, a)
-    assert first == [1, 2, 5, 15, 51, 188]
-    assert core.count_avoiders(6, b) == [1, 2, 4, 10, 27, 83]
-    # b replaced a, so a walks again
-    assert core.count_avoiders(6, a) == first
-    assert walks == [(6, a), (6, b), (6, a)]
-    # a shallower request reads the memo, a deeper one walks
-    assert core.count_avoiders(3, a) == first[:3]
-    assert len(walks) == 3
-    deeper = core.count_avoiders(7, a)
-    assert deeper[:6] == first and walks[-1] == (7, a)
-    # a caller that mutates what it got leaves the memo intact
-    got = core.count_avoiders(7, a)
-    got[0] = -1
-    got.append(99)
-    assert core.count_avoiders(7, a) == deeper
-    assert core.count_avoiders(5, a) == deeper[:5]
-    assert len(walks) == 4
+def test_count_hands_each_caller_its_own_list():
+    a = ((0, 0, 2, 1),)
+    first = core.count_avoiders(7, a)
+    assert first == [1, 2, 5, 15, 51, 188, 731]
+    first[0] = -1
+    first.append(99)
+    assert core.count_avoiders(7, a) == [1, 2, 5, 15, 51, 188, 731]
+    assert core.count_avoiders(5, a) == [1, 2, 5, 15, 51]
 
 
 def test_count_with_no_patterns_gives_all_ascent_sequences():
@@ -327,10 +306,9 @@ RANDOM_PATTERN_SETS = [
 
 
 @pytest.mark.parametrize("text", RANDOM_PATTERN_SETS)
-def test_walk_matches_naive_oracle_on_random_pattern_sets(monkeypatch, text):
+def test_walk_matches_naive_oracle_on_random_pattern_sets(text):
     # at n = 1 and 2 counting and enumerating push no word; patterns of
     # length 5 are longer than the shortest words
-    monkeypatch.setattr(core, "_LAST_COUNT", ((), []))
     B = core.parse_patterns(text)
     upto = []  # the avoiders of every length up to n
     for n in range(1, 8):
@@ -352,16 +330,24 @@ def test_walk_matches_naive_oracle_on_random_pattern_sets(monkeypatch, text):
         assert visited == sorted(upto), n
 
 
-@pytest.mark.parametrize("text", ["201,210", "0021", "1012"] + RANDOM_PATTERN_SETS)
-def test_count_enumerate_and_visit_agree_at_8_and_9(monkeypatch, text):
-    # past the naive oracle's reach: counting reads the words of length
-    # n - 1 and n off a per-walk table keyed by their parents' state,
-    # enumerating lists each deepest word's set bits, and visiting reads
-    # the length-n words' masks in their parents' kid loops; the paper's
-    # three classes go on to n = 10
-    monkeypatch.setattr(core, "_LAST_COUNT", ((), []))
-    B = core.parse_patterns(text)
-    for n in (8, 9, 10) if text in ("201,210", "0021", "1012") else (8, 9):
+@pytest.mark.parametrize(
+    "text", ["201,210", "0021", "1012"] + RANDOM_PATTERN_SETS + ["", "00", "01", "10"]
+)
+def test_count_enumerate_and_visit_agree_at_8_and_9(text):
+    # past the naive oracle's reach: counting reads each subtree off a
+    # per-walk memo keyed by its root's state, enumerating lists each
+    # deepest word's set bits, and visiting reads the length-n words' masks
+    # in their parents' kid loops; the paper's three classes go on to
+    # n = 10, and the empty set and the three sets of one pattern of length
+    # 2 are checked at every n up to 9
+    B = core.parse_patterns(text) if text else ()
+    if text in ("201,210", "0021", "1012"):
+        depths = (8, 9, 10)
+    elif text in ("", "00", "01", "10"):
+        depths = range(1, 10)
+    else:
+        depths = (8, 9)
+    for n in depths:
         visited = [0]
 
         def visit(seq, appendable):
@@ -373,9 +359,8 @@ def test_count_enumerate_and_visit_agree_at_8_and_9(monkeypatch, text):
 
 
 @pytest.mark.parametrize("B", CLASSES)
-def test_count_to_13_is_a007317(monkeypatch, B):
-    monkeypatch.setattr(core, "_LAST_COUNT", ((), []))
-    assert core.count_avoiders(13, B) == [series.a007317(n) for n in range(1, 14)]
+def test_count_to_13_is_a007317(B):
+    assert core.count_avoiders(16, B) == [series.a007317(n) for n in range(1, 17)]
 
 
 @pytest.mark.parametrize(
@@ -435,8 +420,9 @@ def test_visit_reads_valid_append_set_to_8(B):
 
 
 def test_walk_pushes_only_the_words_it_descends_below(monkeypatch):
-    # the words of length n - 1 and n - 2 are read off masks: a walk to n
-    # pushes each avoider of length 1..n-3 once
+    # the words of length n - 1 and n - 2 are read off masks: a visiting walk
+    # to n pushes each avoider of length 1..n-3 once, and a counting walk
+    # pushes only the kids of the words whose state its memo has not met
     real = core._PatternTracker.push
     pushes = [0]
 
@@ -445,12 +431,19 @@ def test_walk_pushes_only_the_words_it_descends_below(monkeypatch):
         return real(self, d)
 
     monkeypatch.setattr(core._PatternTracker, "push", push)
-    monkeypatch.setattr(core, "_LAST_COUNT", ((), []))
     for B in CLASSES:
-        for n in range(1, 9):
+        for n in range(1, 13):
             pushes[0] = 0
-            counts = core.count_avoiders(n, B)
-            assert pushes[0] == sum(counts[: max(n - 3, 0)]), (B, n)
+            counts = core._walk(n, B)[1:]
+            counted = pushes[0]
+            below = sum(counts[: max(n - 3, 0)])
+            if n < 10:
+                pushes[0] = 0
+                core._walk(n, B, lambda seq, appendable: None)
+                assert pushes[0] == below, (B, n)
+            assert counted <= below, (B, n)
+        # a memo that never hits would push as often as the visiting walk
+        assert counted < below, B
 
 
 def naive_extend(pm, c, x):
@@ -605,7 +598,7 @@ def _after_ignored(monkeypatch):
     """A walk that reads the masks of the words of length n - 1 off the top
     of done, as if their unpushed parents made no match."""
     src = inspect.getsource(core._walk)
-    assert src.count("tracker.after(d)") == 1
+    assert src.count("tracker.after(d)") == 2  # the visitor's walk and count
     namespace = {}
     exec(textwrap.dedent(src.replace("tracker.after(d)", "done[-1]")), vars(core), namespace)
     monkeypatch.setattr(core, "_walk", namespace["_walk"])
@@ -638,7 +631,6 @@ def test_broken_done_stacks_miscount(monkeypatch, fault, texts):
     fault(monkeypatch)
     for text in texts:
         B = core.parse_patterns(text)
-        monkeypatch.setattr(core, "_LAST_COUNT", ((), []))
         assert core.count_avoiders(8, B) != [series.a007317(n) for n in range(1, 9)], text
         naive = [
             sum(not any(core.contains_naive(w, p) for p in B) for w in all_ascent_sequences(n))
@@ -648,37 +640,63 @@ def test_broken_done_stacks_miscount(monkeypatch, fault, texts):
 
 
 def _key_without(part):
-    """A walk whose table of words of length n - 2 drops part from its key,
-    still counting each new key's words from all four values."""
+    """A counting walk whose memo key drops part: one of the five values
+    every key holds, or the gain tops or seen sets that deeper keys add."""
 
     def fault(monkeypatch):
         src = inspect.getsource(core._walk)
-        parts = ["kid_asc", "d", "child", "kid_tops"]
+        parts = ["r", "asc", "last", "forbid", "tops"]
         key = f"key = ({', '.join(parts)})"
-        short = f"key = ({', '.join(x for x in parts if x != part)})"
-        assert src.count(key) == 1 and short != key
+        assert src.count(key) == 1
+        if part in parts:
+            src = src.replace(key, f"key = ({', '.join(x for x in parts if x != part)},)")
+        else:
+            marker = {"gain": "g[-1] for g in gain", "seen": "frozenset"}[part]
+            added = [x.strip() for x in src.splitlines() if "key += " in x and marker in x]
+            assert len(added) == 1
+            src = src.replace(added[0], "key += ()")
         namespace = {}
-        exec(textwrap.dedent(src.replace(key, short)), vars(core), namespace)
+        exec(textwrap.dedent(src), vars(core), namespace)
         monkeypatch.setattr(core, "_walk", namespace["_walk"])
 
     return fault
 
 
+def _miscounts(B, n, counts):
+    try:
+        return core._walk(n, B) != counts
+    except IndexError:  # a deeper subtree's count list, added into a shallower one's
+        return True
+
+
 @pytest.mark.parametrize(
     "fault, texts",
     [
-        # each row lists every class it miscounts by n = 9
-        pytest.param(_key_without("kid_asc"), ["201,210", "0021"], id="no_kid_asc"),
-        pytest.param(_key_without("d"), ["201,210", "0021"], id="no_last_digit"),
-        pytest.param(_key_without("child"), ["201,210", "0021", "1012"], id="no_forbid"),
-        pytest.param(_key_without("kid_tops"), ["0021", "1012"], id="no_tops"),
+        # each row lists every one of the paper's three classes it miscounts by
+        # n = 9; no count of the three moves without the gain tops or the seen
+        # sets, so those rows list the random sets that they miscount by then
+        pytest.param(_key_without("r"), ["201,210", "0021", "1012"], id="no_r"),
+        pytest.param(_key_without("asc"), ["201,210", "0021"], id="no_asc"),
+        pytest.param(_key_without("last"), ["201,210", "0021"], id="no_last_digit"),
+        pytest.param(_key_without("forbid"), ["201,210", "0021", "1012"], id="no_forbid"),
+        pytest.param(_key_without("tops"), ["0021", "1012"], id="no_tops"),
+        pytest.param(
+            _key_without("gain"),
+            ["0111,2110,30321", "00321,0212,1002", "13203", "13020", "01120,02021,03321",
+             "01200,31032"],
+            id="no_gain_tops",
+        ),
+        pytest.param(
+            _key_without("seen"),
+            ["00321,0212,1002", "13203", "13020", "01120,02021,03321"],
+            id="no_seen",
+        ),
     ],
 )
 def test_broken_leaf_table_key_miscounts(monkeypatch, fault, texts):
+    # the visiting walk keys nothing: its counts are the reference
+    expected = {t: core._walk(9, core.parse_patterns(t), lambda seq, kids: None) for t in texts}
     fault(monkeypatch)
     for text in texts:
         B = core.parse_patterns(text)
-        assert any(
-            core._walk(n, B)[1:] != [series.a007317(m) for m in range(1, n + 1)]
-            for n in range(1, 10)
-        ), text
+        assert any(_miscounts(B, n, expected[text][: n + 1]) for n in range(1, 10)), text

@@ -1,16 +1,13 @@
 import copy
 import dataclasses
-import io
 import json
-from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from ascentseq import core, verify
+from ascentseq import verify
 from ascentseq import gentree_0021 as gt
 from ascentseq import gentree_pair as gp
-from ascentseq.cli import main
 
 
 def test_golden_constants_match_recurrences():
@@ -203,24 +200,6 @@ def test_combine_reports():
     )
     assert merged.suite == "all"
     assert len(merged.records) == 4
-
-
-def test_verify_all_walks_0021_once(monkeypatch):
-    real = core._walk
-    walks = []
-
-    def counted(n_max, patterns, visit=None):
-        if visit is None:
-            walks.append(patterns)
-        return real(n_max, patterns, visit)
-
-    monkeypatch.setattr(core, "_LAST_COUNT", ((), []))
-    monkeypatch.setattr(core, "_walk", counted)
-    with redirect_stdout(io.StringIO()):
-        code = main(["verify", "--suite", "all", "--n-max", "6", "--order", "12"])
-    assert code == 0
-    assert walks.count((gt.QUAD_PATTERN,)) == 1
-    assert len(walks) == len(set(walks)) == 3
 
 
 def test_invalid_ranges_rejected():
