@@ -24,8 +24,7 @@ at O(n^2) per level.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .gentree import simulate
 
@@ -43,8 +42,7 @@ __all__ = [
 QUAD_PATTERN = (0, 0, 2, 1)
 
 
-@dataclass(frozen=True)
-class TripleLevelTables:
+class TripleLevelTables(NamedTuple):
     """Label counts at one level, classified by the three label shapes."""
 
     n: int

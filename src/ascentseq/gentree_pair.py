@@ -19,8 +19,7 @@ runs on running sums, at O(n^2) per level.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .gentree import simulate
 
@@ -39,8 +38,7 @@ __all__ = [
 PAIR_PATTERNS = ((2, 0, 1), (2, 1, 0))
 
 
-@dataclass(frozen=True)
-class PairLevelTable:
+class PairLevelTable(NamedTuple):
     """Counts of (p, q) labels at one level of the generating tree."""
 
     n: int
@@ -129,8 +127,7 @@ def cd_tables_from(table: PairLevelTable) -> tuple[tuple[int, ...], tuple[int, .
     return c, d
 
 
-@dataclass(frozen=True)
-class RelationViolation:
+class RelationViolation(NamedTuple):
     relation: str
     n: int
     where: tuple[int, ...]

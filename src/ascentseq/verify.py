@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import gentree_0021 as g0021
 from . import gentree_pair as gpair
@@ -59,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check_id: str
     scope: str
     status: str  # "pass" or "fail"
@@ -71,8 +69,7 @@ class CheckRecord:
         return self.status == "pass"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     records: list[CheckRecord]
 
@@ -113,7 +110,7 @@ def _show(x) -> str:
     """repr(x), but with each Fraction inside written as coeffs writes it: 9, -1/2."""
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, (tuple, list)):
+    if type(x) in (tuple, list):  # a NamedTuple row shows as its repr
         inner = ", ".join(map(_show, x))
         if isinstance(x, list):
             return f"[{inner}]"
@@ -266,8 +263,7 @@ GOLDEN_A1_ARRAYS: dict[int, list[list[int]]] = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ClassSpec:
+class _ClassSpec(NamedTuple):
     """The pipelines of one avoidance class counted by A007317."""
 
     name: str  # prefix of the check ids

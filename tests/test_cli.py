@@ -476,11 +476,12 @@ def test_each_method_runs_its_own_pipeline(monkeypatch, module, name, perturb, m
     assert changed == {method}
 
 
-def _loaded_by(script, *args):
-    """The ascentseq modules a fresh interpreter holds after running script."""
+def _loaded_by(script, *args, root="ascentseq"):
+    """The modules under root that a fresh interpreter holds after running
+    script, or every module it holds when root is None."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ascentseq.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    script += "\nimport sys\nprint(*(m for m in sys.modules if m.split('.')[0] == 'ascentseq'))"
+    script += f"\nimport sys\nprint(*(m for m in sys.modules if {root!r} in (None, m.split('.')[0])))"
     done = subprocess.run(
         [sys.executable, "-c", script, *args],
         env=dict(os.environ, PYTHONPATH=path),
@@ -562,6 +563,19 @@ EVERY_MODULE = tuple(sorted(
 def test_each_command_imports_only_its_pipeline(argv, loaded):
     expected = {"ascentseq", "ascentseq.cli"} | {f"ascentseq.{m}" for m in loaded}
     assert _loaded_by(RUN_MAIN, *argv) == expected
+
+
+def test_no_command_loads_dataclasses_or_inspect():
+    # dataclasses loads inspect and ten more modules; a module that the bare
+    # interpreter already holds (through site, say) is not the package's doing
+    bare = _loaded_by("pass", root=None)
+    for argv, module in [
+        (["table", "--family", "a0", "--n", "3"], "ascentseq.gentree_0021"),
+        (["verify", "--suite", "pair", "--n-max", "3", "--order", "6"], "ascentseq.verify"),
+    ]:
+        loaded = _loaded_by(RUN_MAIN, *argv, root=None)
+        assert module in loaded
+        assert not ({"dataclasses", "inspect"} - bare) & loaded, argv
 
 
 def test_package_root_imports_submodules_on_first_use():

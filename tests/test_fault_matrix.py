@@ -8,7 +8,6 @@ on any code.
 """
 
 import copy
-import dataclasses
 from types import ModuleType
 from typing import Callable, NamedTuple
 
@@ -50,7 +49,7 @@ def _level(monkeypatch, module, fn, n, field, key=None):
             else:
                 value = dict(getattr(t, field))
                 value[key] = value.get(key, 0) + 1
-            levels[n - 1] = dataclasses.replace(t, **{field: value})
+            levels[n - 1] = t._replace(**{field: value})
         return levels
 
     monkeypatch.setattr(module, fn, wrong)

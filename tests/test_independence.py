@@ -56,6 +56,17 @@ def _package_imports(tree: ast.Module) -> set[str]:
     return found
 
 
+def _top_level_imports(tree: ast.AST) -> set[str]:
+    """The top-level module each absolute import statement of tree names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
 @pytest.mark.parametrize("module", [core, series, gentree])
 def test_pipeline_modules_import_no_package_module(module):
     # stated apart from the table, so that editing the table cannot loosen it
@@ -71,13 +82,15 @@ def test_front_end_module_scope_imports_no_pipeline():
         [],
     )
     assert not _package_imports(top)
-    imported = set()
-    for node in ast.walk(top):
-        if isinstance(node, ast.Import):
-            imported |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module)
+    imported = _top_level_imports(top)
     assert "fractions" not in imported, imported
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_dataclasses(name):
+    # importing dataclasses loads inspect; the records are NamedTuples
+    module = importlib.import_module("ascentseq" if name == "__init__" else f"ascentseq.{name}")
+    assert "dataclasses" not in _top_level_imports(_tree(module)), name
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -120,7 +119,7 @@ def test_wrong_simulated_increasing_node_fails_its_record(monkeypatch):
 
     def wrong(n_max):
         levels = real(n_max)
-        levels[3] = dataclasses.replace(levels[3], g2_q=levels[3].g2_q + 1)
+        levels[3] = levels[3]._replace(g2_q=levels[3].g2_q + 1)
         return levels
 
     monkeypatch.setattr(gt, "simulate_0021_levels", wrong)
@@ -175,6 +174,17 @@ def test_counterexamples_write_fractions_as_coeffs_does(monkeypatch):
         "t0021.gf.coefficients": "first counterexample: ('C', (1, 2, 5), 27/2, 14)",
         "t0021.gf.level_totals": "first counterexample: (5, 101/2, 51)",
     }
+
+
+def test_show_writes_plain_sequences_by_element_and_records_by_repr():
+    v = gp.RelationViolation("interior_shift", 15, (1, 3), 7214467, 7214466)
+    assert verify._show(v) == (
+        "RelationViolation(relation='interior_shift', n=15, where=(1, 3), "
+        "lhs=7214467, rhs=7214466)"
+    )
+    assert verify._show((9, Fraction(-1, 2))) == "(9, -1/2)"
+    assert verify._show(("x",)) == "('x',)"
+    assert verify._show([Fraction(1, 3), (2,)]) == "[1/3, (2,)]"
 
 
 def test_reports_are_deterministic_and_sorted():
