@@ -9,20 +9,22 @@ pattern if some subsequence of it is order-isomorphic to the pattern.
 Everything here works from those definitions alone: validity, reduction,
 containment, the set of digits that can legally extend a sequence without
 creating a forbidden pattern, and one depth-first walk of the avoidance
-class of a pattern set from the empty word.  The walk counts the avoiders
-of every length up to a depth and hands each shorter avoider, with its
-appendable digits, to an optional visitor; enumeration is such a visitor.
-So is its text path: it keeps each avoider of length n - 1 with its
-appendable digits, formats them all in one pass through a byte table, and
-writes each word as its parent's text and one digit.
+class of a pattern set from the empty word.  The walk is one recursive
+function that returns the counts of the avoiders of every length below a
+word, up to a depth, and hands each shorter avoider, with its appendable
+digits, to an optional visitor; enumeration is such a visitor.  So is its
+text path: it keeps each avoider of length n - 1 with its appendable
+digits, formats them all in one pass through a byte table, and writes
+each word as its parent's text and one digit.
 All of these run on one incremental dynamic program over pattern prefixes
 (partial assignments of sequence values to pattern values), extended one
 digit at a time by one tracker for the whole pattern set; the digits that
 would complete a pattern form one bitmask.  The walk pushes no word of
 the last two lengths below its depth: it reads their masks off the
-tracker.  When it only counts, it keeps the counts below each word on
-what the walk reads there, so no such state is walked twice.  A naive
-scan over all index subsequences is kept as the test oracle.
+tracker.  Without a visitor, the same function keeps the counts below
+each word in a memo keyed on what the walk reads there, so no such state
+is walked twice.  A naive scan over all index subsequences is kept as the
+test oracle.
 """
 
 from __future__ import annotations
@@ -323,14 +325,15 @@ def valid_append_set(
 # the tracker holds for the parent.  A word's appendable digits are the
 # digits up to asc + 1 that its mask leaves free; the empty word has asc = -1
 # and a last digit of -1, so its one kid is (0,), whose 0 counts as an
-# ascent.  Words of length n_max - 1 get no call: their parent reads their
-# masks in its kid loop.  Words of length n_max - 2 are not pushed: their
-# tops is after(d), what push(d) would stack on done.  With a visitor, rec
-# hands every word to it.  Without one, count returns the counts of the r
-# lengths below a word, which depend only on what the walk reads there: asc,
-# the last digit, forbid and tops; for r = 3 the gain tops after() reads; for
-# r >= 4 each slot's seen sets, which fix its accept buckets and the gain tops.
-# A memo local to the walk keeps one count list per distinct key.
+# ascent.  walk returns the counts of the r lengths below a word.  Words of
+# length n_max - 1 get no call: their parent reads their masks in its kid
+# loop.  Words of length n_max - 2 are not pushed: their tops is after(d),
+# what push(d) would stack on done.  The counts below a word depend only on
+# what the walk reads there: asc, the last digit, forbid and tops; for r = 3
+# the gain tops after() reads; for r >= 4 each slot's seen sets, which fix
+# its accept buckets and the gain tops.  Without a visitor, a memo local to
+# the walk keeps one count list per distinct key.  With one, walk skips the
+# memo and hands the visitor every word.
 # ---------------------------------------------------------------------------
 
 
@@ -345,9 +348,8 @@ def _walk(
     visit is given it is called as visit(seq, appendable) for every avoider
     shorter than n_max, the empty word first, in lexicographic order.
     """
-    counts = [0] * (n_max + 1)
     if n_max < 1 or any(len(p) == 1 for p in patterns):
-        return counts  # a single-value pattern occurs in every nonempty word: no visit
+        return [0] * (n_max + 1)  # a single-value pattern occurs in every nonempty word: no visit
     tracker = _PatternTracker([p for p in patterns if len(p) <= n_max], n_max - 1)
     done, gain, slots = tracker.done, tracker.gain, tracker.slots
     width = tracker.width
@@ -355,62 +357,44 @@ def _walk(
     seq: list[int] = []
     memo: dict[tuple, list[int]] = {}
 
-    def rec(depth: int, asc: int, last: int, forbid: int, tops: int) -> None:
-        kids = [d for d in range(asc + 2) if not forbid >> d & 1]
-        visit(tuple(seq), tuple(kids))
-        counts[depth + 1] += len(kids)
-        if depth + 1 == n_max:
-            return  # n_max = 1: the empty word's kids are the longest words
-        for d in kids:
-            child = forbid | tops >> d * width & full
-            kid_asc = asc + 1 if d > last else asc
-            if depth + 2 == n_max:
-                leaf = ~child & ((4 << kid_asc) - 1)
-                counts[n_max] += leaf.bit_count()
-                visit((*seq, d), tuple([x for x in range(kid_asc + 2) if leaf >> x & 1]))
-                continue
-            seq.append(d)
-            if depth + 3 < n_max:
-                trail = tracker.push(d)
-                rec(depth + 1, kid_asc, d, child, done[-1])
-                tracker.undo(trail)
-            else:
-                rec(depth + 1, kid_asc, d, child, tracker.after(d))
-            seq.pop()
-
-    def count(r: int, asc: int, last: int, forbid: int, tops: int) -> list[int]:
-        key = (r, asc, last, forbid, tops)
-        if r == 3:
-            key += tuple([g[-1] for g in gain])
-        elif r > 3:
-            key += tuple([frozenset(s) for *_, seen in slots for s in seen[1:]])
-        got = memo.get(key)
-        if got is not None:
-            return got
+    def walk(r: int, asc: int, last: int, forbid: int, tops: int) -> list[int]:
+        if visit is None:
+            key = (r, asc, last, forbid, tops)
+            if r == 3:
+                key += tuple([g[-1] for g in gain])
+            elif r > 3:
+                key += tuple([frozenset(s) for *_, seen in slots for s in seen[1:]])
+            got = memo.get(key)
+            if got is not None:
+                return got
         kids = [d for d in range(asc + 2) if not forbid >> d & 1]
         got = [len(kids)] + [0] * (r - 1)
+        if visit is None:
+            memo[key] = got  # filled below: the walk under it meets only smaller r
+        else:
+            visit(tuple(seq), tuple(kids))
         for d in kids if r > 1 else ():  # r = 1: the root of a walk to n_max = 1
             child = forbid | tops >> d * width & full
             kid_asc = asc + 1 if d > last else asc
             if r == 2:
-                got[1] += (~child & ((4 << kid_asc) - 1)).bit_count()
+                leaf = ~child & ((4 << kid_asc) - 1)
+                got[1] += leaf.bit_count()
+                if visit is not None:
+                    visit((*seq, d), tuple([x for x in range(kid_asc + 2) if leaf >> x & 1]))
                 continue
+            seq.append(d)
             if r > 3:
                 trail = tracker.push(d)
-                below = count(r - 1, kid_asc, d, child, done[-1])
+                below = walk(r - 1, kid_asc, d, child, done[-1])
                 tracker.undo(trail)
             else:
-                below = count(2, kid_asc, d, child, tracker.after(d))
+                below = walk(2, kid_asc, d, child, tracker.after(d))
+            seq.pop()
             for i, c in enumerate(below, 1):
                 got[i] += c
-        memo[key] = got
         return got
 
-    if visit is None:
-        counts[1:] = count(n_max, -1, -1, 0, done[-1])
-    else:
-        rec(0, -1, -1, 0, done[-1])
-    return counts
+    return [0] + walk(n_max, -1, -1, 0, done[-1])
 
 
 def enumerate_avoiders(

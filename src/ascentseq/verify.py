@@ -16,7 +16,8 @@ failures[, note]), and one runner, `_report`, makes and sorts the records.
 
 A tree suite takes the brute-force depth n_max >= 1, the series order
 gf_order >= max(n_max, 2) and the label-oracle depth oracle_max >= 1, and
-raises DepthError on any other; every other depth follows from them:
+the wilf suite takes n_max >= 1; each raises DepthError on any other.
+Every other depth follows from them:
 
 - pentagon, 0021 simulation vs recurrence: n <= n_max;
 - pair golden arrays: n <= min(n_max, 7); 0021 golden arrays: n <= 8,
@@ -524,7 +525,7 @@ def wilf_equivalence_check(n_max: int = 11) -> VerificationReport:
 
     classes, both counted by the Catalan convolution."""
     if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+        raise DepthError("n_max must be at least 1")
     counts_0021 = count_avoiders(n_max, (g0021.QUAD_PATTERN,))
     counts_1012 = count_avoiders(n_max, ((1, 0, 1, 2),))
     ns = range(1, n_max + 1)

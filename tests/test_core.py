@@ -1,3 +1,4 @@
+import ast
 import functools
 import inspect
 import random
@@ -359,7 +360,7 @@ def test_count_enumerate_and_visit_agree_at_8_and_9(text):
 
 
 @pytest.mark.parametrize("B", CLASSES)
-def test_count_to_13_is_a007317(B):
+def test_count_to_16_is_a007317(B):
     assert core.count_avoiders(16, B) == [series.a007317(n) for n in range(1, 17)]
 
 
@@ -444,6 +445,19 @@ def test_walk_pushes_only_the_words_it_descends_below(monkeypatch):
             assert counted <= below, (B, n)
         # a memo that never hits would push as often as the visiting walk
         assert counted < below, B
+
+
+def test_walk_has_one_body():
+    # counting and visiting share one recursive walk: a second nested
+    # function would be a second copy of the kid loop to keep in step
+    tree = ast.parse(inspect.getsource(core))
+    (walk,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_walk"]
+    nested = [
+        f.name
+        for f in ast.walk(walk)
+        if f is not walk and isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert nested == ["walk"]
 
 
 def naive_extend(pm, c, x):
@@ -598,7 +612,7 @@ def _after_ignored(monkeypatch):
     """A walk that reads the masks of the words of length n - 1 off the top
     of done, as if their unpushed parents made no match."""
     src = inspect.getsource(core._walk)
-    assert src.count("tracker.after(d)") == 2  # the visitor's walk and count
+    assert src.count("tracker.after(d)") == 1
     namespace = {}
     exec(textwrap.dedent(src.replace("tracker.after(d)", "done[-1]")), vars(core), namespace)
     monkeypatch.setattr(core, "_walk", namespace["_walk"])
@@ -637,6 +651,7 @@ def test_broken_done_stacks_miscount(monkeypatch, fault, texts):
             for n in range(1, 8)
         ]
         assert core._walk(7, B)[1:] != naive, text
+        assert core._walk(7, B, lambda seq, appendable: None)[1:] != naive, text
 
 
 def _key_without(part):
@@ -693,7 +708,7 @@ def _miscounts(B, n, counts):
         ),
     ],
 )
-def test_broken_leaf_table_key_miscounts(monkeypatch, fault, texts):
+def test_broken_memo_key_miscounts(monkeypatch, fault, texts):
     # the visiting walk keys nothing: its counts are the reference
     expected = {t: core._walk(9, core.parse_patterns(t), lambda seq, kids: None) for t in texts}
     fault(monkeypatch)

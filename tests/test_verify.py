@@ -234,6 +234,9 @@ def test_invalid_ranges_rejected():
             crosscheck(n_max=1, gf_order=1)
     with pytest.raises(ValueError):
         verify.wilf_equivalence_check(0)
+    for depth in (0, -3):
+        with pytest.raises(verify.DepthError, match="n_max must be at least 1"):
+            verify.wilf_equivalence_check(depth)
 
 
 # check id, scope at gf_order 12, scope at gf_order 44 (n_max 5 for both),
