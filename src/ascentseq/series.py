@@ -2,14 +2,15 @@
 
 MSeries is a sparse series in one, two or three variables truncated by
 total degree (the count tables are triangular, so total-degree order N
-captures levels 1..N exactly).  Stored coefficients are fractions.Fraction
-throughout, so every operation is exact; equality of series means equality
-of every stored coefficient.  The O(N^2) kernels (products and inverses)
-write their operands as integer numerators over one common denominator and
-pack each exponent tuple into one int, sum e_i (N+1)^i, so that adding
-exponents is adding ints; the total-degree cut keeps every digit below the
-base, so the sums never carry.  The loops run on plain ints, and each
-Fraction and exponent tuple is built once at the end.
+captures levels 1..N exactly).  A series is integer numerators over one
+positive denominator, kept in lowest terms, so every operation is exact
+and equality of series is equality of that form.  Each exponent tuple is
+packed into one int: in base N+1 its digits are every exponent but the
+last, under a top digit holding the total degree, which fixes the last.
+Adding exponents is adding ints, the total degree is one division, and
+the total-degree cut of a product is one bisection of the other factor's
+sorted keys.  Sums, products and inverses run on ints alone; Fractions
+are made only when a coefficient is read.
 
 On top of the ring operations sit the closed forms used by the avoidance
 counts: the column and diagonal generating functions of the pair tree,
@@ -35,11 +36,13 @@ zero series.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
-from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from numbers import Rational
+from operator import sub
+from types import MappingProxyType
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 __all__ = [
     "MSeries",
@@ -50,16 +53,6 @@ __all__ = [
     "residual",
 ]
 
-F0 = Fraction(0)
-
-
-def _over_common(values: Iterable[Fraction]) -> tuple[list[int], int]:
-    """The values as integer numerators over their least common denominator."""
-    values = list(values)
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 # ---------------------------------------------------------------------------
 # The series ring
 # ---------------------------------------------------------------------------
@@ -67,32 +60,21 @@ def _over_common(values: Iterable[Fraction]) -> tuple[list[int], int]:
 Exp = tuple[int, ...]
 
 
-def _packing(nvars: int, order: int):
-    """Kronecker packing of exponent tuples into ints, e -> sum e_i b^i with
-    base b = order + 1, and its inverse.  Every digit of a sum of keys whose
-    total degree stays within the order is at most the order, so the sum
-    never carries: it is the key of the summed exponents."""
-    base = order + 1
-    weights = [base**i for i in range(nvars)]
-
-    def pack(e: Exp) -> int:
-        return sum(map(mul, e, weights))
-
-    def unpack(k: int) -> Exp:
-        e = []
-        for _ in weights:
-            k, r = divmod(k, base)
-            e.append(r)
-        return tuple(e)
-
-    return pack, unpack
-
-
 class MSeries:
     """Sparse power series in one to three variables, truncated by total
-    degree."""
+    degree, stored as integer numerators `nums` over one denominator `den`.
 
-    __slots__ = ("vars", "order", "terms")
+    With n variables, base b = order + 1 and B = b^(n-1), the exponents e
+    are the key e_0 + e_1 b + ... + e_(n-2) b^(n-2) + |e| B of `nums`: the
+    last exponent is |e| less the others.  Within the order every digit is
+    below b, so adding keys adds exponents, a key's total degree is
+    key // B, and a key is within the order exactly when it is below b B.
+    `den` is positive, no numerator is zero and gcd(den, *nums) is 1, so
+    each series has one form and `==` compares it.  `terms` is the
+    read-only {exponents: Fraction} view, built when first read.
+    """
+
+    __slots__ = ("vars", "order", "nums", "den", "_terms")
 
     def __init__(self, variables: Sequence[str], order: int, terms: Mapping[Exp, int | Fraction]):
         if order < 0:
@@ -102,17 +84,59 @@ class MSeries:
             raise ValueError("need one to three distinct variable names")
         self.vars = vs
         self.order = order
-        clean: dict[Exp, Fraction] = {}
+        kept = {}
         for e, c in terms.items():
             e = tuple(e)
             if len(e) != len(vs) or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent tuple {e}")
-            if sum(e) > order:
-                continue
-            c = Fraction(c)
-            if c:
-                clean[e] = c
-        self.terms = clean
+            if not isinstance(c, Rational):
+                raise TypeError(f"coefficient {c!r} of {e} is not an int or a Fraction")
+            if sum(e) <= order and c:
+                kept[self._key(e)] = c
+        den = math.lcm(*(c.denominator for c in kept.values()))
+        self._set({k: c.numerator * (den // c.denominator) for k, c in kept.items()}, den)
+
+    def _set(self, nums: dict[int, int], den: int) -> None:
+        """Store nums / den in lowest terms: den > 0, no zero numerator."""
+        nums = {k: c for k, c in nums.items() if c}
+        g = math.gcd(den, *nums.values()) if den != 1 else 1
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {k: c // g for k, c in nums.items()}
+        self.nums, self.den, self._terms = nums, den // g, None
+
+    def _wrap(self, nums: dict[int, int], den: int) -> "MSeries":
+        out = MSeries.__new__(MSeries)
+        out.vars, out.order = self.vars, self.order
+        out._set(nums, den)
+        return out
+
+    def _key(self, e: Exp) -> int:
+        b = self.order + 1
+        key = sum(e)
+        for x in reversed(e[:-1]):
+            key = key * b + x
+        return key
+
+    def _exps(self, keys: Collection[int]) -> Iterator[Exp]:
+        """The exponent tuples of the keys, in their order."""
+        b = self.order + 1
+        *low, unit = [b**i for i in range(len(self.vars))]
+        digits = [[k // w % b for k in keys] for w in low]
+        last = [k // unit for k in keys]  # the total degree, less each digit
+        for d in digits:
+            last = list(map(sub, last, d))
+        return zip(*digits, last)
+
+    @property
+    def terms(self) -> Mapping[Exp, Fraction]:
+        """The nonzero coefficients as a read-only {exponents: Fraction}."""
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType(dict(zip(
+                self._exps(self.nums), (Fraction(c, den) for c in self.nums.values()))))
+        return self._terms
 
     def coeff(self, exps: Exp) -> Fraction:
         e = tuple(exps)
@@ -120,10 +144,10 @@ class MSeries:
             raise ValueError(f"bad exponent tuple {e} for variables {self.vars}")
         if sum(e) > self.order:
             raise IndexError(f"exponent {e} outside truncation order {self.order}")
-        return self.terms.get(e, F0)
+        return Fraction(self.nums.get(self._key(e), 0), self.den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def _check_compatible(self, other: "MSeries") -> None:
         if self.vars != other.vars:
@@ -137,98 +161,84 @@ class MSeries:
         return (
             self.vars == other.vars
             and self.order == other.order
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __add__(self, other: "MSeries") -> "MSeries":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nv = out.get(e, F0) + c
-            if nv:
-                out[e] = nv
-            else:
-                out.pop(e, None)
-        return self._wrap(out)
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        out = {k: c * sa for k, c in self.nums.items()}
+        for k, c in other.nums.items():
+            out[k] = out.get(k, 0) + c * sb
+        return self._wrap(out, den)
 
     def __sub__(self, other: "MSeries") -> "MSeries":
         return self + -other
 
     def __neg__(self) -> "MSeries":
-        return self._wrap({e: -c for e, c in self.terms.items()})
-
-    def _wrap(self, terms: dict[Exp, Fraction]) -> "MSeries":
-        out = MSeries.__new__(MSeries)
-        out.vars = self.vars
-        out.order = self.order
-        out.terms = terms
-        return out
+        return self._wrap({k: -c for k, c in self.nums.items()}, self.den)
 
     def __mul__(self, other: "MSeries") -> "MSeries":
         self._check_compatible(other)
-        pack, unpack = _packing(len(self.vars), self.order)
-        a, da = _over_common(self.terms.values())
-        nb, db = _over_common(other.terms.values())
-        # other's terms by total degree: each term of self meets the prefix
-        # that stays within the order, so no sum of keys carries
-        b = sorted(zip(map(sum, other.terms), map(pack, other.terms), nb))
-        degs = [t[0] for t in b]
-        b = [t[1:] for t in b]
+        top = (self.order + 1) ** len(self.vars)
+        # other's keys in order, so those of total degree at most the order
+        # less a key's are one prefix: below top - key
+        b = sorted(other.nums.items())
+        keys = [k for k, _ in b]
         acc: defaultdict[int, int] = defaultdict(int)
-        for ea, ca in zip(self.terms, a):
-            ka = pack(ea)
-            for kb, cb in b[: bisect_right(degs, self.order - sum(ea))]:
+        for ka, ca in self.nums.items():
+            for kb, cb in b[: bisect_left(keys, top - ka)]:
                 acc[ka + kb] += ca * cb
-        den = da * db
-        return self._wrap({unpack(k): Fraction(c, den) for k, c in acc.items() if c})
+        return self._wrap(acc, self.den * other.den)
 
     def invert_unit(self) -> "MSeries":
         """Multiplicative inverse; requires a nonzero constant term.
 
         With self = A / da over integers and |e| the total degree of e, the
         coefficient of e in the inverse is da * q[e] / A[0]^(|e|+1), where
-        q[0] = 1 and q[e] = -sum_{f != 0} A[f] * A[0]^(|f|-1) * q[e-f].
-        Once every q of degree d is known, its products with the terms of
-        self are pushed into the degrees above.
+        q[0] = 1 and q[e] = -sum_{f != 0} A[f] * A[0]^(|f|-1) * q[e-f]: over
+        the one denominator A[0]^(order+1), its numerator is
+        da * q[e] * A[0]^(order-|e|).  Once every q of degree d is known,
+        its products with the terms of self are pushed into the degrees
+        above.
         """
-        pack, unpack = _packing(len(self.vars), self.order)
-        nums, da = _over_common(self.terms.values())
-        a = dict(zip(self.terms, nums))
-        a0 = a.pop((0,) * len(self.vars), 0)
+        order, da = self.order, self.den
+        unit = (order + 1) ** (len(self.vars) - 1)  # B, one step of total degree
+        a = dict(self.nums)
+        a0 = a.pop(0, 0)
         if not a0:
             raise ValueError("series with zero constant term is not invertible")
-        b = sorted((sum(e), pack(e), c * a0 ** (sum(e) - 1)) for e, c in a.items())
-        degs = [t[0] for t in b]
-        pushed = [defaultdict(int) for _ in range(self.order + 1)]  # -q by degree
+        b = sorted((k, k // unit, c * a0 ** (k // unit - 1)) for k, c in a.items())
+        keys = [t[0] for t in b]
+        pushed = [defaultdict(int) for _ in range(order + 1)]  # -q by degree
         pushed[0][0] = -1
         out = {}
-        p = 1
-        for d in range(self.order + 1):
+        for d in range(order + 1):
             q = {k: -c for k, c in pushed[d].items() if c}
-            p *= a0
-            out.update((unpack(k), Fraction(da * c, p)) for k, c in q.items())
+            scale = da * a0 ** (order - d)
+            out.update((k, c * scale) for k, c in q.items())
             above = pushed[d:]
-            cut = bisect_right(degs, self.order - d)
+            cut = bisect_left(keys, (order + 1 - d) * unit)
             for kq, cq in q.items():
-                for u, kb, cb in b[:cut]:
+                for kb, u, cb in b[:cut]:
                     above[u][kq + kb] += cb * cq
-        return self._wrap(out)
+        return self._wrap(out, a0 ** (order + 1))
 
     def __repr__(self) -> str:
         items = sorted(self.terms.items())[:6]
         parts = [f"{c}*{e}" for e, c in items] or ["0"]
-        more = " + ..." if len(self.terms) > 6 else ""
+        more = " + ..." if len(self.nums) > 6 else ""
         return f"MSeries{self.vars}({' + '.join(parts)}{more})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "variables": list(self.vars),
-            "order": self.order,
-            "terms": [
-                [*e, f"{c.numerator}/{c.denominator}"]
-                for e, c in sorted(self.terms.items())
-            ],
-        }
+        den = self.den
+        terms = sorted([*e, c] for e, c in zip(self._exps(self.nums), self.nums.values()))
+        for t in terms:
+            g = math.gcd(t[-1], den)
+            t[-1] = f"{t[-1] // g}/{den // g}"
+        return {"variables": list(self.vars), "order": self.order, "terms": terms}
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,53 @@ def test_useries_invert_matches_schoolbook(pair, c0):
     assert all_fractions(inv.terms.values())
 
 
+@given(series_tuples(2, UNITS))
+def test_results_are_in_lowest_terms_and_written_exactly(pair):
+    # one form per series: rebuilding a result from its Fractions gives an
+    # equal series, and the writer reads the same Fractions
+    a, b = pair
+    for p in (a * b, a + b, a - b, a.invert_unit()):
+        assert MSeries(p.vars, p.order, p.terms) == p
+        assert p.den > 0 and all(p.nums.values())
+        assert math.gcd(p.den, *p.nums.values()) == 1
+        assert p.to_json_dict()["terms"] == sorted(
+            [*e, f"{c.numerator}/{c.denominator}"] for e, c in p.terms.items()
+        )
+
+
+def test_total_degree_cut_at_the_largest_digit():
+    # order 4 in three variables packs the exponents of x and y and the
+    # total degree in base 5, so a digit of 4 is the largest a key holds:
+    # degree 4 is kept, degree 5 dropped
+    vs, order = ("x", "y", "z"), 4
+    a = MSeries(vs, order, {(0, 0, 0): 1, (3, 0, 0): 1, (0, 4, 0): 2, (1, 1, 2): 3})
+    b = MSeries(vs, order, {(0, 0, 0): 1, (1, 0, 0): 1, (0, 0, 1): -1, (0, 0, 4): 5})
+    prod = a * b
+    assert prod.terms == ref_mul(a.terms, b.terms, order)
+    assert prod.coeff((4, 0, 0)) == 1  # x^3 * x
+    assert prod.coeff((0, 4, 0)) == 2 and prod.coeff((0, 0, 4)) == 5
+    assert prod.coeff((1, 1, 2)) == 3
+    assert prod.coeff((3, 0, 1)) == -1  # x^3 * -z
+    # x^3 z^4, y^4 x, y^4 z, x^2 y z^2 and the rest past the order are dropped
+    assert max(map(sum, prod.terms)) == order and len(prod.terms) == 9
+    assert a.invert_unit().terms == ref_inv(a.terms, len(vs), order)
+    assert MSeries(vs, order, {(5, 0, 0): 1, (0, 0, 5): 1, (2, 2, 1): 1}).is_zero()
+
+
+def test_coefficients_must_be_rational():
+    # a float would be stored as its binary fraction, and over the one
+    # denominator it would scale every numerator of the series
+    for c in (0.1, 1.0, 1j, "1/2"):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            MSeries(("z",), 3, {(1,): c})
+    with pytest.raises(TypeError):
+        MSeries(("z",), 3, {(9,): 0.5})  # past the order, still refused
+    u = MSeries(("z",), 3, {(0,): 2, (1,): Fraction(1, 3), (2,): True})
+    assert [u.coeff((k,)) for k in range(4)] == [2, Fraction(1, 3), 1, 0]
+    with pytest.raises(TypeError):
+        u.terms[(3,)] = Fraction(1)  # the view is read-only
+
+
 @given(series_tuples(1, UNITS))
 def test_invert_round_trip_randomized(single):
     (a,) = single
