@@ -16,15 +16,16 @@ digits, to an optional visitor; enumeration is such a visitor.  So is its
 text path: it keeps each avoider of length n - 1 with its appendable
 digits, formats them all in one pass through a byte table, and writes
 each word as its parent's text and one digit.
-All of these run on one incremental dynamic program over pattern prefixes
-(partial assignments of sequence values to pattern values), extended one
-digit at a time by one tracker for the whole pattern set; the digits that
-would complete a pattern form one bitmask.  The walk pushes no word of
-the last two lengths below its depth: it reads their masks off the
-tracker.  Without a visitor, the same function keeps the counts below
-each word in a memo keyed on what the walk reads there, so no such state
-is walked twice.  A naive scan over all index subsequences is kept as the
-test oracle.
+All of these run on one deterministic automaton for the whole pattern
+set, built lazily as words reach its states: a state holds a word's
+partial matches (partial assignments of sequence values to pattern
+values), equal states share one id, and the digits that would complete a
+pattern form one bitmask read off the state.  The walk makes no call for
+a word of the last length below its depth: it reads their masks off their
+parents' states.  Without a visitor, the same function keeps the counts
+below each word in a memo keyed on what the walk reads there, the state
+id among it, so no such state is walked twice.  A naive scan over all
+index subsequences is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def _normalize_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Word, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Containment: one incremental dynamic program over pattern prefixes.
+# Containment: one deterministic automaton over pattern prefixes.
 #
 # A partial match of pattern p is an assignment pm of sequence values to the
 # distinct pattern values used by a prefix of p, realised by some increasing
@@ -116,27 +117,25 @@ def _normalize_patterns(patterns: Iterable[Sequence[int]]) -> tuple[Word, ...]:
 # equal pm[p[j]] if that value is already assigned, and otherwise must lie
 # strictly between the nearest assigned values below and above p[j].
 #
-# One tracker follows a whole pattern set.  For each pattern of length k it
-# keeps the partial matches with 0..k-4 positions filled against the word
-# pushed so far, bucketed by the digit each would consume next (the empty
-# match sits in every bucket of level 0).  Those with k-2 positions filled are
-# not stored: each has closing masks, for each digit d the digits that
-# complete its pattern once it has consumed d, and done is a stack with one
-# entry per pushed digit, the OR over all matches of those masks, packed into
-# one integer with max_digit + 1 bits per d (for k = 2 the base entry holds
-# the empty match's masks).  An OR takes in a match twice at no harm, so no
-# set keeps them apart.  Those with k-3 positions filled are stored only as
-# what they add to done: gain[d] is a stack per digit whose top is the OR of
-# the packed closing masks of the matches with k-2 positions filled that
-# appending d would make (for k = 3 the base entries hold the empty match's).
-# Matches with k-1 positions filled are not stored either: the caller keeps
-# the union of their windows, the digits that complete a pattern, as one
-# bitmask called forbid.  Partial matches only grow with the word (old
-# subsequences stay subsequences), so forbid only gains bits, and undo pops
-# what push appended; after(d), the top of done ORed with the top of gain[d],
-# is what push(d) would stack on done, read without pushing.  completes(d)
-# must be read before push(d): the matches push(d) creates may not consume
-# that same d.  Digits lie in 0..max_digit.
+# One automaton follows a whole pattern set.  Its state after a word is two
+# things.  The first is the frozenset of the word's partial matches with at
+# most k-3 positions filled, each as (pattern index, positions filled, pm),
+# for each pattern of length k.  The second is tops: the matches with k-2
+# positions filled are held only by their closing masks, for each digit d
+# the digits that complete the pattern once the match has consumed d, and
+# tops is the OR of these over all such matches, packed into one integer
+# with max_digit + 1 bits per d (for k = 2 the empty match's masks are in
+# every state).  An OR takes in a match twice at no harm, so no set keeps
+# them apart.  Matches with k-1 positions filled are not held either: the
+# caller keeps the union of their windows, the digits that complete a
+# pattern, as one bitmask called forbid.  Partial matches only grow with the
+# word (old subsequences stay subsequences), so step(sid, d) keeps all that
+# state sid holds and adds what its matches make by consuming d, which
+# grow(m) lists once per match for every digit of its window.  The
+# automaton is built lazily: equal states share one integer id, and each
+# (state, digit) transition is computed once.  completes(sid, d) is read off
+# the state before d: the matches that d makes may not consume that same d.
+# Digits lie in 0..max_digit.
 # ---------------------------------------------------------------------------
 
 
@@ -146,37 +145,38 @@ def _extend(pm: tuple, c: int, x: int) -> tuple:
     return pm[:c] + (x,) + pm[c + 1 :]
 
 
-class _PatternTracker:
-    __slots__ = ("max_digit", "width", "slots", "done", "gain")
+class _Automaton:
+    __slots__ = (
+        "patterns", "max_digit", "width", "ids", "matches", "tops", "moves", "growth", "start"
+    )
 
     def __init__(self, patterns: Iterable[Word], max_digit: int):
+        self.patterns = tuple(patterns)
         self.max_digit = max_digit
         self.width = max_digit + 1
-        # one slot per pattern p of length k: (p, k - 2, memo, accept, seen).
-        # accept[j][d], 0 <= j <= k-4: partial matches with j positions
-        # filled that can consume d as position j (the empty match alone for
-        # j = 0); seen[j], 1 <= j <= k-3, is the set of matches with j
-        # positions filled: none is stored twice.  memo maps each match with
-        # k-3 positions filled to the packed closing masks of the matches it
-        # makes, one per digit of its window, once computed.
-        self.slots = []
-        base = 0
-        gain = [0] * self.width
-        for p in patterns:
-            k = len(p)
+        self.ids: dict[tuple, int] = {}  # (matches, tops) -> state id
+        self.matches: list[frozenset] = []  # state id -> its stored matches
+        self.tops: list[int] = []  # state id -> its packed closing masks
+        self.moves: dict[int, int] = {}  # sid * width + d -> step(sid, d)
+        self.growth: dict[tuple, tuple] = {}  # match -> grow(match)
+        matches, tops = set(), 0
+        for i, p in enumerate(self.patterns):
             empty = (None,) * (max(p) + 1)
-            accept = [[[empty]] * self.width] if k > 3 else []
-            accept += [[[] for _ in range(self.width)] for _ in range(k - 4)]
-            seen = [None] + [set() for _ in range(k - 3)]
-            slot = (p, k - 2, {}, accept, seen)
-            self.slots.append(slot)
-            if k == 2:
-                base |= self.closing(empty, p)
-            elif k == 3:  # the empty match's window is every digit
-                for d, got in enumerate(self.made(slot, empty)):
-                    gain[d] |= got
-        self.done = [base]
-        self.gain = [[g] for g in gain]
+            if len(p) == 2:
+                tops |= self.closing(empty, p)
+            else:
+                matches.add((i, 0, empty))
+        self.start = self.intern(frozenset(matches), tops)
+
+    def intern(self, matches: frozenset, tops: int) -> int:
+        """The id of the state (matches, tops), a new one if it is new."""
+        key = (matches, tops)
+        sid = self.ids.get(key)
+        if sid is None:
+            sid = self.ids[key] = len(self.tops)
+            self.matches.append(matches)
+            self.tops.append(tops)
+        return sid
 
     def window(self, pm: tuple, c: int) -> tuple[int, int]:
         """The digits (lo, hi) that match pm can consume for pattern value c."""
@@ -208,60 +208,40 @@ class _PatternTracker:
                 packed |= (2 << hi1) - (1 << lo1) << e * self.width
         return packed
 
-    def completes(self, d: int) -> int:
-        """Bitmask of the digits that complete a pattern once d is appended."""
-        return self.done[-1] >> d * self.width & (1 << self.width) - 1
+    def completes(self, sid: int, d: int) -> int:
+        """Bitmask of the digits that complete a pattern once d is appended
+        to a word in state sid."""
+        return self.tops[sid] >> d * self.width & (1 << self.width) - 1
 
-    def made(self, slot: tuple, pm: tuple) -> list[int]:
-        """The packed closing masks of the matches pm, a match with k-3
-        positions filled, makes: one per digit of its window, lowest first."""
-        p, last, memo, _, _ = slot
-        got = memo.get(pm)
+    def grow(self, m: tuple) -> tuple[int, list]:
+        """(lo, yields) for the match m = (i, j, pm): yields[e - lo] is what m
+        makes by consuming e, for each digit e of its window: a match, or once
+        that has k-2 positions filled, its packed closing masks."""
+        i, j, pm = m
+        p = self.patterns[i]
+        lo, hi = self.window(pm, p[j])
+        yields = [(i, j + 1, _extend(pm, p[j], e)) for e in range(lo, hi + 1)]
+        if j + 3 == len(p):
+            yields = [self.closing(pm2, p) for _, _, pm2 in yields]
+        self.growth[m] = lo, yields
+        return lo, yields
+
+    def step(self, sid: int, d: int) -> int:
+        """The id of the state of a word in state sid once d is appended."""
+        got = self.moves.get(sid * self.width + d)
         if got is None:
-            c = p[last - 1]
-            lo, hi = self.window(pm, c)
-            got = memo[pm] = [self.closing(_extend(pm, c, e), p) for e in range(lo, hi + 1)]
-        return got
-
-    def after(self, d: int) -> int:
-        """What push(d) stacks on done, read without pushing: the top of done
-        ORed with the packed closing masks of the matches with k-2 positions
-        filled that d makes."""
-        return self.done[-1] | self.gain[d][-1]
-
-    def push(self, d: int) -> list:
-        """Append digit d; returns a trail for undo."""
-        # every bucket and gain stack is read before a new match joins one,
-        # so that none of them consumes this same d
-        self.done.append(self.after(d))
-        trail = []
-        for slot in self.slots:
-            p, last, _, accept, seen = slot
-            fresh = [
-                (j + 1, _extend(pm, p[j], d)) for j in range(last - 1) for pm in accept[j][d]
-            ]
-            for j2, pm2 in fresh:
-                known = seen[j2]
-                if pm2 not in known:  # two stored matches can make the same one
-                    known.add(pm2)
-                    lo, hi = self.window(pm2, p[j2])
-                    if j2 < last - 1:
-                        level = accept[j2]
-                        for dd in range(lo, hi + 1):
-                            level[dd].append(pm2)
+            tops = self.tops[sid]
+            grown = set(self.matches[sid])
+            for m in self.matches[sid]:
+                lo, yields = self.growth.get(m) or self.grow(m)
+                if 0 <= d - lo < len(yields):
+                    x = yields[d - lo]
+                    if type(x) is int:
+                        tops |= x
                     else:
-                        level = self.gain
-                        for dd, got in enumerate(self.made(slot, pm2), lo):
-                            level[dd].append(level[dd][-1] | got)
-                    trail.append((known, pm2, level, lo, hi))
-        return trail
-
-    def undo(self, trail: list) -> None:
-        self.done.pop()
-        for known, pm2, level, lo, hi in reversed(trail):
-            known.remove(pm2)
-            for dd in range(lo, hi + 1):
-                level[dd].pop()
+                        grown.add(x)
+            got = self.moves[sid * self.width + d] = self.intern(frozenset(grown), tops)
+        return got
 
 
 def contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -271,15 +251,15 @@ def contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
         return False
     if len(p) == 1:
         return True
-    # reducing first keeps every digit a valid bucket index
+    # reducing first keeps every digit in 0..max_digit
     w = reduce(word)
-    tracker = _PatternTracker((p,), max(w))
-    forbid = 0
+    auto = _Automaton((p,), max(w))
+    sid, forbid = auto.start, 0
     for x in w:
         if forbid >> x & 1:
             return True
-        forbid |= tracker.completes(x)
-        tracker.push(x)
+        forbid |= auto.completes(sid, x)
+        sid = auto.step(sid, x)
     return False
 
 
@@ -308,32 +288,30 @@ def valid_append_set(
     top = asc_count(w) + 1
     if any(len(p) == 1 for p in B):
         return ()
-    # shift so that every digit of seq and every candidate is a bucket index
+    # shift so that every digit of seq and every candidate is in 0..max_digit
     lo = min(0, *w)
-    tracker = _PatternTracker(B, max(top, *w) - lo)
-    forbid = 0
+    auto = _Automaton(B, max(top, *w) - lo)
+    sid, forbid = auto.start, 0
     for x in w:
-        forbid |= tracker.completes(x - lo)
-        tracker.push(x - lo)
+        forbid |= auto.completes(sid, x - lo)
+        sid = auto.step(sid, x - lo)
     return tuple(d for d in range(top + 1) if not forbid >> (d - lo) & 1)
 
 
 # ---------------------------------------------------------------------------
-# Depth-first walk from the empty word: one tracker follows the current word,
-# and each word gets its forbid mask from its parent: the parent's mask with
-# completes() of the word's last digit, read off tops, the packed masks that
-# the tracker holds for the parent.  A word's appendable digits are the
-# digits up to asc + 1 that its mask leaves free; the empty word has asc = -1
-# and a last digit of -1, so its one kid is (0,), whose 0 counts as an
-# ascent.  walk returns the counts of the r lengths below a word.  Words of
-# length n_max - 1 get no call: their parent reads their masks in its kid
-# loop.  Words of length n_max - 2 are not pushed: their tops is after(d),
-# what push(d) would stack on done.  The counts below a word depend only on
-# what the walk reads there: asc, the last digit, forbid and tops; for r = 3
-# the gain tops after() reads; for r >= 4 each slot's seen sets, which fix
-# its accept buckets and the gain tops.  Without a visitor, a memo local to
-# the walk keeps one count list per distinct key.  With one, walk skips the
-# memo and hands the visitor every word.
+# Depth-first walk from the empty word: each word carries the id of its
+# automaton state, sid, and gets its forbid mask from its parent: the
+# parent's mask with completes() of the word's last digit, read off the
+# parent's tops.  A word's appendable digits are the digits up to asc + 1
+# that its mask leaves free; the empty word has asc = -1 and a last digit of
+# -1, so its one kid is (0,), whose 0 counts as an ascent.  walk returns the
+# counts of the r lengths below a word.  Words of length n_max - 1 get no
+# call and no state: their parent reads their masks in its kid loop.  The
+# counts below a word depend only on what the walk reads there: r, asc, the
+# last digit, forbid and sid.  Without a visitor, a memo local to the walk
+# keeps one count list per distinct key, a transfer-matrix count on the
+# automaton's states.  With one, walk skips the memo and hands the visitor
+# every word.
 # ---------------------------------------------------------------------------
 
 
@@ -350,20 +328,15 @@ def _walk(
     """
     if n_max < 1 or any(len(p) == 1 for p in patterns):
         return [0] * (n_max + 1)  # a single-value pattern occurs in every nonempty word: no visit
-    tracker = _PatternTracker([p for p in patterns if len(p) <= n_max], n_max - 1)
-    done, gain, slots = tracker.done, tracker.gain, tracker.slots
-    width = tracker.width
+    auto = _Automaton([p for p in patterns if len(p) <= n_max], n_max - 1)
+    step, tops, width = auto.step, auto.tops, auto.width
     full = (1 << width) - 1
     seq: list[int] = []
     memo: dict[tuple, list[int]] = {}
 
-    def walk(r: int, asc: int, last: int, forbid: int, tops: int) -> list[int]:
+    def walk(r: int, asc: int, last: int, forbid: int, sid: int) -> list[int]:
         if visit is None:
-            key = (r, asc, last, forbid, tops)
-            if r == 3:
-                key += tuple([g[-1] for g in gain])
-            elif r > 3:
-                key += tuple([frozenset(s) for *_, seen in slots for s in seen[1:]])
+            key = (r, asc, last, forbid, sid)
             got = memo.get(key)
             if got is not None:
                 return got
@@ -373,8 +346,9 @@ def _walk(
             memo[key] = got  # filled below: the walk under it meets only smaller r
         else:
             visit(tuple(seq), tuple(kids))
+        packed = tops[sid]
         for d in kids if r > 1 else ():  # r = 1: the root of a walk to n_max = 1
-            child = forbid | tops >> d * width & full
+            child = forbid | packed >> d * width & full
             kid_asc = asc + 1 if d > last else asc
             if r == 2:
                 leaf = ~child & ((4 << kid_asc) - 1)
@@ -383,18 +357,15 @@ def _walk(
                     visit((*seq, d), tuple([x for x in range(kid_asc + 2) if leaf >> x & 1]))
                 continue
             seq.append(d)
-            if r > 3:
-                trail = tracker.push(d)
-                below = walk(r - 1, kid_asc, d, child, done[-1])
-                tracker.undo(trail)
-            else:
-                below = walk(2, kid_asc, d, child, tracker.after(d))
+            below = walk(r - 1, kid_asc, d, child, step(sid, d))
             seq.pop()
             for i, c in enumerate(below, 1):
                 got[i] += c
         return got
 
-    return [0] + walk(n_max, -1, -1, 0, done[-1])
+    counts = [0] + walk(n_max, -1, -1, 0, auto.start)
+    del walk  # walk's closure holds walk: drop that cycle, and the memo and automaton with it
+    return counts
 
 
 def enumerate_avoiders(

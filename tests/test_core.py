@@ -3,6 +3,7 @@ import functools
 import inspect
 import random
 import textwrap
+import weakref
 from itertools import combinations, product
 
 import pytest
@@ -421,30 +422,44 @@ def test_visit_reads_valid_append_set_to_8(B):
 
 
 def test_walk_pushes_only_the_words_it_descends_below(monkeypatch):
-    # the words of length n - 1 and n - 2 are read off masks: a visiting walk
-    # to n pushes each avoider of length 1..n-3 once, and a counting walk
-    # pushes only the kids of the words whose state its memo has not met
-    real = core._PatternTracker.push
-    pushes = [0]
+    # the words of length n - 1 are read off their parents' masks: a visiting
+    # walk to n steps each avoider of length 1..n-2 into its state, and a
+    # counting walk steps only the kids of the words whose key its memo has
+    # not met, and computes each (state, digit) transition at most once
+    autos, steps, interned = [], [0], [0]
+    real_init, real_step, real_intern = (
+        core._Automaton.__init__, core._Automaton.step, core._Automaton.intern
+    )
 
-    def push(self, d):
-        pushes[0] += 1
-        return real(self, d)
+    def init(self, *args):
+        real_init(self, *args)
+        autos.append(self)
 
-    monkeypatch.setattr(core._PatternTracker, "push", push)
+    def step(self, sid, d):
+        steps[0] += 1
+        return real_step(self, sid, d)
+
+    def intern(self, matches, tops):
+        interned[0] += 1  # once for the start state, then once per computed transition
+        return real_intern(self, matches, tops)
+
+    monkeypatch.setattr(core._Automaton, "__init__", init)
+    monkeypatch.setattr(core._Automaton, "step", step)
+    monkeypatch.setattr(core._Automaton, "intern", intern)
     for B in CLASSES:
         for n in range(1, 13):
-            pushes[0] = 0
+            steps[0] = interned[0] = 0
             counts = core._walk(n, B)[1:]
-            counted = pushes[0]
-            below = sum(counts[: max(n - 3, 0)])
+            counted, computed, moves = steps[0], interned[0] - 1, len(autos[-1].moves)
+            below = sum(counts[: max(n - 2, 0)])
             if n < 10:
-                pushes[0] = 0
+                steps[0] = 0
                 core._walk(n, B, lambda seq, appendable: None)
-                assert pushes[0] == below, (B, n)
-            assert counted <= below, (B, n)
-        # a memo that never hits would push as often as the visiting walk
-        assert counted < below, B
+                assert steps[0] == below, (B, n)
+            assert computed == moves <= counted <= below, (B, n)
+        # a memo and a transition table that never hit would compute a
+        # transition for every step of the visiting walk
+        assert moves < counted < below, B
 
 
 def test_walk_has_one_body():
@@ -509,123 +524,111 @@ def naive_completes(B, levels, max_digit):
 DRIVEN_SETS = ["201,210", "0021", "1012"] + RANDOM_PATTERN_SETS + ["00", "01", "10"]
 
 
+def stored(levels):
+    """The matches a state holds, as (pattern index, positions filled, pm):
+    every level of levels but the last, those with at most k-3 filled."""
+    return {(i, j, pm) for i, lv in enumerate(levels) for j, ms in enumerate(lv[:-1]) for pm in ms}
+
+
 def drive(text, check):
-    """Drive one tracker for the set along every avoider up to length 7,
-    calling check(tracker, avoider, levels) at each, where levels are the
-    avoider's partial matches as naive_step finds them."""
+    """Step one automaton for the set along every avoider up to length 7,
+    calling check(auto, sid, avoider, levels) at each, where levels are the
+    avoider's partial matches as naive_step finds them.  Returns the
+    automaton."""
     B = core.parse_patterns(text)
     n, max_digit = 7, 7
     kids = {(): (0,)}
     core.visit_avoiders(n - 1, B, lambda seq, appendable: kids.update({seq: appendable}))
-    t = core._PatternTracker(B, max_digit)
+    auto = core._Automaton(B, max_digit)
     nodes = [0]
 
-    def rec(seq, levels):
+    def rec(seq, sid, levels):
         nodes[0] += 1
-        check(t, seq, levels)
-        if len(seq) == n:
-            return
-        for d in kids[seq]:
-            trail = t.push(d)
-            rec(seq + (d,), naive_step(B, levels, d))
-            t.undo(trail)
+        check(auto, sid, seq, levels)
+        if len(seq) < n:
+            for d in kids[seq]:
+                rec(seq + (d,), auto.step(sid, d), naive_step(B, levels, d))
 
-    rec((), [[{(None,) * (max(p) + 1)}] + [set() for _ in p[2:]] for p in B])
+    rec((), auto.start, [[{(None,) * (max(p) + 1)}] + [set() for _ in p[2:]] for p in B])
     assert nodes[0] == 1 + sum(core.count_avoiders(n, B))
+    return auto
 
 
 @pytest.mark.parametrize("text", DRIVEN_SETS)
 def test_completes_is_the_or_over_stored_matches(text):
     B = core.parse_patterns(text)
 
-    def check(t, seq, levels):
-        digits = range(t.max_digit + 1)
-        assert [t.completes(d) for d in digits] == naive_completes(B, levels, t.max_digit), seq
+    def check(auto, sid, seq, levels):
+        assert auto.matches[sid] == stored(levels), seq
+        digits = range(auto.max_digit + 1)
+        got = [auto.completes(sid, d) for d in digits]
+        assert got == naive_completes(B, levels, auto.max_digit), seq
 
     drive(text, check)
 
 
 @pytest.mark.parametrize("text", DRIVEN_SETS)
 def test_after_reads_what_push_would_stack(text):
-    # the walk reads the masks of the words of length n - 1 off after() of
-    # their parents, which it does not push
+    # step(sid, d) is naive_step, for every digit d, appendable or not: the
+    # matches it holds, and the completes() row read off its tops
     B = core.parse_patterns(text)
 
-    def check(t, seq, levels):
-        digits = range(t.max_digit + 1)
-        done = list(t.done)
+    def check(auto, sid, seq, levels):
+        digits = range(auto.max_digit + 1)
         for d in digits:
-            after = t.after(d)
-            assert t.done == done, (seq, d)
-            expected = naive_completes(B, naive_step(B, levels, d), t.max_digit)
-            trail = t.push(d)
-            got = [t.completes(e) for e in digits]
-            assert got == expected, (seq, d)
-            assert t.done[-1] == after, (seq, d)
-            t.undo(trail)
+            grown = naive_step(B, levels, d)
+            kid = auto.step(sid, d)
+            assert auto.matches[kid] == stored(grown), (seq, d)
+            got = [auto.completes(kid, e) for e in digits]
+            assert got == naive_completes(B, grown, auto.max_digit), (seq, d)
 
     drive(text, check)
 
 
 @pytest.mark.parametrize("text", ["201,210", "0021", "1012", "0111,2110,30321"])
 def test_push_and_undo_leave_no_state_behind(text):
-    # memo is left filled: it only caches each match's closing masks, a
-    # function of the match
-    B = core.parse_patterns(text)
-    fresh = core._PatternTracker(B, 8)
-    for word in [(0, 1, 0, 2, 1, 3, 0, 2, 4), (0, 1, 2, 1, 0, 3, 3, 2, 4), (0, 0, 1, 1, 0, 2, 2, 1, 0)]:
-        t = core._PatternTracker(B, 8)
-        trails = [t.push(d) for d in word]
-        assert len(t.done) == len(word) + 1 and t.done[-1] != t.done[0], word
-        for trail in reversed(trails):
-            t.undo(trail)
-        assert t.done == fresh.done, word
-        assert t.gain == fresh.gain and all(len(g) == 1 for g in t.gain), word
-        for p, _, _, accept, seen in t.slots:
-            assert not any(b for level in accept[1:] for b in level), (p, word)
-            assert not any(seen[1:]), (p, word)
+    # states are immutable and interned: stepping changes no state it has
+    # made, and the same matches reached along two words get one id
+    ids = {}
+
+    def check(auto, sid, seq, levels):
+        before = [(set(m), t) for m, t in zip(auto.matches, auto.tops)]
+        for d in range(auto.max_digit + 1):
+            auto.step(sid, d)
+        after = [(set(m), t) for m, t in zip(auto.matches, auto.tops)]
+        assert after[: len(before)] == before, seq
+        frozen = tuple(frozenset(ms) for lv in levels for ms in lv)
+        assert ids.setdefault(frozen, sid) == sid, seq
+
+    auto = drive(text, check)
+    states = list(zip(auto.matches, auto.tops))
+    assert all(type(m) is frozenset for m in auto.matches)
+    assert len(set(states)) == len(states) == len(auto.ids)
+    # fewer distinct match sets than avoiders: some are reached along two words
+    assert len(ids) < 1 + sum(core.count_avoiders(7, core.parse_patterns(text)))
 
 
-def _faulty_push(monkeypatch):
-    """push, and the walk's read of an unpushed word, that stack the new
-    closing masks alone, dropping the OR with the masks below them."""
-    src = inspect.getsource(core._PatternTracker.after)
-    assert src.count("self.done[-1] | self.gain[d][-1]") == 1
-    namespace = {}
-    exec(textwrap.dedent(src.replace("self.done[-1] | self.gain[d][-1]", "self.gain[d][-1]")), vars(core), namespace)
-    monkeypatch.setattr(core._PatternTracker, "after", namespace["after"])
+def _patched(owner, name, old, new):
+    """A fault: owner.name with its one occurrence of old replaced by new."""
 
+    def fault(monkeypatch):
+        src = inspect.getsource(getattr(owner, name))
+        assert src.count(old) == 1, (name, old)
+        namespace = {}
+        exec(textwrap.dedent(src.replace(old, new)), vars(core), namespace)
+        monkeypatch.setattr(owner, name, namespace[name])
 
-def _leaky_undo(monkeypatch):
-    """undo that leaves the masks it pops on done."""
-    real = core._PatternTracker.undo
-
-    def undo(self, trail):
-        top = self.done[-1]
-        real(self, trail)
-        self.done.append(top)
-
-    monkeypatch.setattr(core._PatternTracker, "undo", undo)
-
-
-def _after_ignored(monkeypatch):
-    """A walk that reads the masks of the words of length n - 1 off the top
-    of done, as if their unpushed parents made no match."""
-    src = inspect.getsource(core._walk)
-    assert src.count("tracker.after(d)") == 1
-    namespace = {}
-    exec(textwrap.dedent(src.replace("tracker.after(d)", "done[-1]")), vars(core), namespace)
-    monkeypatch.setattr(core, "_walk", namespace["_walk"])
+    return fault
 
 
 def _first_pattern_only(monkeypatch):
-    """A set tracker that follows the first pattern of its set alone."""
-    real = core._PatternTracker.__init__
+    """A set automaton that follows the first pattern of its set alone."""
+    real = core._Automaton.__init__
 
     def init(self, patterns, max_digit):
         real(self, list(patterns)[:1], max_digit)
 
-    monkeypatch.setattr(core._PatternTracker, "__init__", init)
+    monkeypatch.setattr(core._Automaton, "__init__", init)
 
 
 @pytest.mark.parametrize(
@@ -633,11 +636,23 @@ def _first_pattern_only(monkeypatch):
     [
         # each row lists every class it miscounts: on 201,210 what an older
         # match forbids is forbidden anyway, by the match of a later, larger
-        # digit or by the forbid mask, so the faulty push shows only on the
-        # other two
-        pytest.param(_faulty_push, ["0021", "1012"], id="_faulty_push"),
-        pytest.param(_leaky_undo, ["201,210", "0021", "1012"], id="_leaky_undo"),
-        pytest.param(_after_ignored, ["201,210", "0021", "1012"], id="_after_ignored"),
+        # digit or by the forbid mask, so a step that drops its parent's tops
+        # shows only on the other two
+        pytest.param(
+            _patched(core._Automaton, "step", "tops = self.tops[sid]", "tops = 0"),
+            ["0021", "1012"],
+            id="_step_drops_tops",
+        ),
+        pytest.param(
+            _patched(core._Automaton, "step", "grown = set(self.matches[sid])", "grown = set()"),
+            ["201,210", "0021", "1012"],
+            id="_step_drops_matches",
+        ),
+        pytest.param(
+            _patched(core, "_walk", "step(sid, d))", "sid)"),
+            ["201,210", "0021", "1012"],
+            id="_kid_gets_parents_state",
+        ),
         pytest.param(_first_pattern_only, ["201,210"], id="_first_pattern_only"),
     ],
 )
@@ -655,26 +670,11 @@ def test_broken_done_stacks_miscount(monkeypatch, fault, texts):
 
 
 def _key_without(part):
-    """A counting walk whose memo key drops part: one of the five values
-    every key holds, or the gain tops or seen sets that deeper keys add."""
-
-    def fault(monkeypatch):
-        src = inspect.getsource(core._walk)
-        parts = ["r", "asc", "last", "forbid", "tops"]
-        key = f"key = ({', '.join(parts)})"
-        assert src.count(key) == 1
-        if part in parts:
-            src = src.replace(key, f"key = ({', '.join(x for x in parts if x != part)},)")
-        else:
-            marker = {"gain": "g[-1] for g in gain", "seen": "frozenset"}[part]
-            added = [x.strip() for x in src.splitlines() if "key += " in x and marker in x]
-            assert len(added) == 1
-            src = src.replace(added[0], "key += ()")
-        namespace = {}
-        exec(textwrap.dedent(src), vars(core), namespace)
-        monkeypatch.setattr(core, "_walk", namespace["_walk"])
-
-    return fault
+    """A counting walk whose memo key drops part, one of the five values it
+    holds."""
+    parts = ["r", "asc", "last", "forbid", "sid"]
+    key = f"key = ({', '.join(parts)})"
+    return _patched(core, "_walk", key, f"key = ({', '.join(x for x in parts if x != part)},)")
 
 
 def _miscounts(B, n, counts):
@@ -688,23 +688,18 @@ def _miscounts(B, n, counts):
     "fault, texts",
     [
         # each row lists every one of the paper's three classes it miscounts by
-        # n = 9; no count of the three moves without the gain tops or the seen
-        # sets, so those rows list the random sets that they miscount by then
+        # n = 9; the row that interns states on their tops alone also lists six
+        # random sets, each with a pattern of length 5, that it miscounts by then
         pytest.param(_key_without("r"), ["201,210", "0021", "1012"], id="no_r"),
         pytest.param(_key_without("asc"), ["201,210", "0021"], id="no_asc"),
         pytest.param(_key_without("last"), ["201,210", "0021"], id="no_last_digit"),
         pytest.param(_key_without("forbid"), ["201,210", "0021", "1012"], id="no_forbid"),
-        pytest.param(_key_without("tops"), ["0021", "1012"], id="no_tops"),
+        pytest.param(_key_without("sid"), ["0021", "1012"], id="no_sid"),
         pytest.param(
-            _key_without("gain"),
-            ["0111,2110,30321", "00321,0212,1002", "13203", "13020", "01120,02021,03321",
-             "01200,31032"],
-            id="no_gain_tops",
-        ),
-        pytest.param(
-            _key_without("seen"),
-            ["00321,0212,1002", "13203", "13020", "01120,02021,03321"],
-            id="no_seen",
+            _patched(core._Automaton, "intern", "key = (matches, tops)", "key = tops"),
+            ["0021", "1012", "0111,2110,30321", "00321,0212,1002", "13203", "13020",
+             "01120,02021,03321", "01200,31032"],
+            id="tops_only_intern",
         ),
     ],
 )
@@ -715,3 +710,27 @@ def test_broken_memo_key_miscounts(monkeypatch, fault, texts):
     for text in texts:
         B = core.parse_patterns(text)
         assert any(_miscounts(B, n, expected[text][: n + 1]) for n in range(1, 10)), text
+
+
+def test_no_automaton_outlives_its_call(monkeypatch):
+    # no cache outlives a call: each call's automaton, its states and
+    # transitions, is freed when the call returns
+    refs = []
+
+    class Watched(core._Automaton):  # a subclass without __slots__ takes weak references
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(core, "_Automaton", Watched)
+    B = CLASSES[1]
+    calls = [
+        lambda: core.count_avoiders(9, B),
+        lambda: core.visit_avoiders(6, B, lambda seq, appendable: None),
+        lambda: core.contains((0, 1, 0, 0, 2, 1), (0, 0, 2, 1)),
+        lambda: core.valid_append_set((0, 1, 0, 0, 2), B),
+    ]
+    for call in calls:
+        refs.clear()
+        call()
+        assert len(refs) == 1 and refs[0]() is None, call
