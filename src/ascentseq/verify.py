@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import gentree_0021 as g0021
@@ -109,6 +108,7 @@ def combine_reports(reports: list[VerificationReport]) -> VerificationReport:
 
 def _show(x) -> str:
     """repr(x), but with each Fraction inside written as coeffs writes it: 9, -1/2."""
+    from fractions import Fraction  # a failure is the only caller
     if isinstance(x, Fraction):
         return str(x)
     if type(x) in (tuple, list):  # a NamedTuple row shows as its repr
@@ -464,9 +464,12 @@ def crosscheck_0021(
 
     depth = gf_order // 2
     # C + D at x = y = 1, exact through z^depth: no term's x- and y-degree
-    # add to more than its z-degree
-    tot: defaultdict[int, Fraction] = defaultdict(Fraction)
-    for (_, _, n), c in (C + D).terms.items():
+    # add to more than its z-degree; the sums are numerators over cd.den,
+    # and only each level's total is made a Fraction
+    from fractions import Fraction
+    cd = C + D
+    tot: defaultdict[int, int] = defaultdict(int)
+    for (_, _, n), c in zip(cd.exps(cd.nums), cd.nums.values()):
         tot[n] += c
 
     # Column structure of the g0 arrays.  Alignment: with T_r(z) defined as
@@ -479,7 +482,7 @@ def crosscheck_0021(
     zs = ("z",)
     first_expected = (
         (f - MSeries(zs, depth_cols, {(0,): 1}))
-        * MSeries(zs, depth_cols, {(0,): 1, (1,): -1}).invert_unit()
+        / MSeries(zs, depth_cols, {(0,): 1, (1,): -1})
         * MSeries(zs, depth_cols, {(2,): 1})
     )
     t2 = _column_series(recur, 2)
@@ -504,7 +507,8 @@ def crosscheck_0021(
             if t.g2_q != t.n + 1
         ]),
         ("t0021.gf.level_totals", f"n<={depth}",
-         _mismatches(range(1, depth + 1), lambda n: tot[n] + 1, a007317),
+         _mismatches(range(1, depth + 1), lambda n: Fraction(tot[n] + cd.den, cd.den),
+                     a007317),
          "g0 + g1 sums plus the single increasing node"),
         ("t0021.columns.first_vs_f", f"n<={depth_cols}",
          _mismatches(range(depth_cols + 1), lambda n: t2.coeff((n,)),

@@ -578,6 +578,24 @@ def test_no_command_loads_dataclasses_or_inspect():
         assert not ({"dataclasses", "inspect"} - bare) & loaded, argv
 
 
+def test_series_commands_load_no_fractions_or_decimal():
+    # fractions loads decimal; a series is integer numerators over one
+    # denominator, and no Fraction is made unless a coefficient is read.  The
+    # script is RUN_MAIN without its own import of fractions
+    run_main = RUN_MAIN.replace("from fractions import Fraction\n", "")
+    assert "fractions" not in run_main
+    bare = _loaded_by("pass", root=None)
+    for argv, module in [
+        (["coeffs", "--gf", "D_0021", "--order", "6"], "ascentseq.series"),
+        (["coeffs", "--gf", "f", "--order", "6", "--format", "csv"], "ascentseq.series"),
+        (["count", "--patterns", "0021", "--n", "9", "--method", "formula"], "ascentseq.series"),
+        (["verify", "--suite", "wilf", "--n-max", "5"], "ascentseq.verify"),
+    ]:
+        loaded = _loaded_by(run_main, *argv, root=None)
+        assert module in loaded
+        assert not ({"fractions", "decimal", "_decimal"} - bare) & loaded, argv
+
+
 def test_package_root_imports_submodules_on_first_use():
     assert _loaded_by("import ascentseq") == {"ascentseq"}
     assert ascentseq.verify.crosscheck_pair.__module__ == "ascentseq.verify"

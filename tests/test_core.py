@@ -421,7 +421,7 @@ def test_visit_reads_valid_append_set_to_8(B):
     assert seen[1:] == [1, 2, 5, 15, 51, 188, 731, 2950]
 
 
-def test_walk_pushes_only_the_words_it_descends_below(monkeypatch):
+def test_walk_steps_only_the_words_it_descends_below(monkeypatch):
     # the words of length n - 1 are read off their parents' masks: a visiting
     # walk to n steps each avoider of length 1..n-2 into its state, and a
     # counting walk steps only the kids of the words whose key its memo has
@@ -656,7 +656,7 @@ def _first_pattern_only(monkeypatch):
         pytest.param(_first_pattern_only, ["201,210"], id="_first_pattern_only"),
     ],
 )
-def test_broken_done_stacks_miscount(monkeypatch, fault, texts):
+def test_broken_step_miscounts(monkeypatch, fault, texts):
     fault(monkeypatch)
     for text in texts:
         B = core.parse_patterns(text)

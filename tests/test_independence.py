@@ -15,7 +15,7 @@ import pathlib
 import pytest
 
 import ascentseq
-from ascentseq import cli, core, gentree, gentree_0021, gentree_pair, series
+from ascentseq import cli, core, gentree, gentree_0021, gentree_pair, series, verify
 
 # module -> the package modules it imports, exactly
 ALLOWED_IMPORTS = {
@@ -73,16 +73,31 @@ def test_pipeline_modules_import_no_package_module(module):
     assert not _package_imports(_tree(module)), module.__name__
 
 
+def _module_scope(module) -> ast.Module:
+    """The statements of module outside its functions, its classes and its
+    `if TYPE_CHECKING:` blocks."""
+    return ast.Module(
+        [node for node in _tree(module).body
+         if not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+         and not (isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING")],
+        [],
+    )
+
+
 def test_front_end_module_scope_imports_no_pipeline():
     # cli.py names the --gf choices itself, so building the parser loads no
     # package module; each command imports its own, held to the table above
-    top = ast.Module(
-        [node for node in _tree(cli).body
-         if not isinstance(node, (ast.FunctionDef, ast.ClassDef))],
-        [],
-    )
+    top = _module_scope(cli)
     assert not _package_imports(top)
     imported = _top_level_imports(top)
+    assert "fractions" not in imported, imported
+
+
+@pytest.mark.parametrize("module", [series, verify])
+def test_series_and_verify_module_scope_imports_no_fractions(module):
+    # fractions loads decimal; the series ring makes a Fraction only when a
+    # coefficient is read, and verify only in the 0021 suite or a failure
+    imported = _top_level_imports(_module_scope(module))
     assert "fractions" not in imported, imported
 
 

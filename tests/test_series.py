@@ -286,18 +286,23 @@ def ref_mul(a, b, order):
     return {e: c for e, c in out.items() if c}
 
 
-def ref_inv(a, nvars, order):
+def ref_div(a, b, nvars, order):
+    """a / b term by term: q[e] = (a[e] - sum_{f != 0} b[f] q[e-f]) / b[0]."""
     zero = (0,) * nvars
     exps = [e for e in itertools.product(range(order + 1), repeat=nvars) if sum(e) <= order]
     out = {}
     for e in sorted(exps, key=sum):
-        acc = Fraction(e == zero)
-        for f, c in a.items():
+        acc = Fraction(a.get(e, 0))
+        for f, c in b.items():
             rest = tuple(x - y for x, y in zip(e, f))
             if f != zero and min(rest) >= 0:
                 acc -= c * out[rest]
-        out[e] = acc / a[zero]
+        out[e] = acc / b[zero]
     return {e: c for e, c in out.items() if c}
+
+
+def ref_inv(a, nvars, order):
+    return ref_div({(0,) * nvars: 1}, a, nvars, order)
 
 
 def all_fractions(values):
@@ -343,6 +348,47 @@ def test_mseries_invert_matches_schoolbook(single):
     inv = a.invert_unit()
     assert inv.terms == ref_inv(a.terms, len(a.vars), a.order)
     assert all(inv.terms.values()) and all_fractions(inv.terms.values())
+
+
+@given(series_tuples(2), UNITS)
+def test_mseries_divide_matches_schoolbook(pair, c0):
+    a, b = pair
+    zero = (0,) * len(a.vars)
+    b = b + MSeries(b.vars, b.order, {zero: c0 - b.coeff(zero)})  # a unit
+    quotient = a / b
+    assert quotient.terms == ref_div(a.terms, b.terms, len(a.vars), a.order)
+    assert all_fractions(quotient.terms.values())
+    assert quotient * b == a
+    assert a / MSeries(a.vars, a.order, {zero: 1}) == a
+    assert a / b == a * b.invert_unit()
+
+
+def test_divide_examples():
+    vs, order = ("x", "y"), 5
+    # both operands over a denominator, and a constant term of the divisor
+    # whose numerator is no unit, so each of its powers scales the result
+    a = MSeries(vs, order, {(0, 0): Fraction(1, 3), (1, 0): Fraction(-2, 5), (2, 1): 7})
+    b = MSeries(vs, order, {(0, 0): Fraction(3, 2), (0, 1): Fraction(1, 4), (1, 1): -2})
+    assert (a.den, b.den) == (15, 4)
+    quotient = a / b
+    assert quotient.terms == ref_div(a.terms, b.terms, len(vs), order)
+    assert quotient.coeff((0, 0)) == Fraction(2, 9)
+    assert quotient.coeff((1, 0)) == Fraction(-4, 15)
+    assert quotient.coeff((0, 1)) == Fraction(-1, 27)
+    assert quotient * b == a
+    # a zero dividend, and order 0
+    assert (MSeries(vs, order, {}) / b) == MSeries(vs, order, {})
+    assert (MSeries(vs, order, {}) / b).den == 1
+    at_0 = MSeries(("z",), 0, {(0,): Fraction(2, 3)}) / MSeries(("z",), 0, {(0,): Fraction(-4, 5)})
+    assert at_0.terms == {(0,): Fraction(-5, 6)}
+    with pytest.raises(ValueError, match="zero constant term"):
+        a / MSeries(vs, order, {(1, 0): 1, (0, 2): 3})
+    with pytest.raises(ValueError, match="zero constant term"):
+        a / MSeries(vs, order, {})
+    with pytest.raises(ValueError, match="variable mismatch"):
+        a / MSeries(("x", "z"), order, {(0, 0): 1})
+    with pytest.raises(ValueError, match="order mismatch"):
+        a / MSeries(vs, order + 1, {(0, 0): 1})
 
 
 def ref_umul(a, b):
