@@ -17,7 +17,6 @@ on such a module is the one that runs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -64,6 +63,7 @@ def _emit(args, obj, csv, plain, empty: str = "") -> int:
     """Write obj as json, or the lines of csv or of plain (empty when there
     are none).  csv and plain are iterables, read only for their own format."""
     if args.format == "json":
+        import json
         text = json.dumps(obj)
     else:
         text = "\n".join(csv if args.format == "csv" else plain) or empty

@@ -7,7 +7,6 @@ label: it expands each label it reaches once and pulls every level's
 counts along the recorded (parent, child) edges.
 """
 
-from array import array
 from itertools import compress
 from typing import Callable, Hashable
 
@@ -17,17 +16,17 @@ __all__ = ["simulate"]
 def simulate(root: Hashable, rule: Callable, n_max: int) -> list[dict]:
     """Label counts `{label: count}` for levels 1..n_max, grown from root.
 
-    Labels get ids in order of discovery.  Each label is expanded by the
-    rule once, on the first level where it has a nonzero count, and is
-    recorded as a parent of each child it yields, once per time the child
-    is yielded; a level's count of a label is then the sum of its
-    parents' counts one level down.
+    Labels get ids in order of discovery, the order of every level's keys.
+    Each label is expanded by the rule once, on the first level where it
+    has a nonzero count, and is recorded as a parent of each child it
+    yields, once per time the child is yielded; a level's count of a label
+    is then the sum of its parents' counts one level down.
     """
     if n_max < 1:
         return []
     labels = [root]  # id -> label
     ids = {root: 0}
-    parents = [array("I")]  # id -> ids of its parents, one per edge
+    parents = [[]]  # id -> ids of its parents, one per edge
     counts = [1]  # id -> count at the current level
     levels = [{root: 1}]
     expanded = 0  # labels[:expanded] have been expanded
@@ -40,8 +39,9 @@ def simulate(root: Hashable, rule: Callable, n_max: int) -> list[dict]:
                 if i is None:
                     i = ids[child] = len(labels)
                     labels.append(child)
-                    parents.append(array("I"))
+                    parents.append([])
                 parents[i].append(parent)
-        counts = [sum(map(counts.__getitem__, ps)) for ps in parents]
+        count = counts.__getitem__
+        counts = [sum(map(count, ps)) for ps in parents]
         levels.append(dict(compress(zip(labels, counts), counts)))
     return levels

@@ -24,6 +24,8 @@ at O(n^2) per level.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate, chain, compress
+from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
 from .gentree import simulate
@@ -127,16 +129,23 @@ def triple_children(label: tuple[int, int, int]) -> Counter:
     return Counter(_rule(label))
 
 
-def _classify_level(n: int, labels: dict[tuple[int, int, int], int]) -> TripleLevelTables:
+def _classify_level(
+    n: int, labels: dict[tuple[int, int, int], int], kinds: dict
+) -> TripleLevelTables:
+    """Split one level by the label shapes.  kinds maps each label met so far
+    to its kind and its (q, r); a new label is classified once."""
     g0: dict[tuple[int, int], int] = {}
     g1: dict[tuple[int, int], int] = {}
     g2 = []  # (q, count) of each (q-2, q, 0) label
-    for (p, q, r), count in labels.items():
-        kind = _classify((p, q, r))
+    for label, count in labels.items():
+        entry = kinds.get(label)
+        if entry is None:
+            entry = kinds[label] = (_classify(label), label[1:])
+        kind, key = entry
         if kind == 2:
-            g2.append((q, count))
+            g2.append((key[0], count))
         else:  # (q, r) and the kind determine the label
-            (g0, g1)[kind][(q, r)] = count
+            (g0, g1)[kind][key] = count
     if len(g2) != 1 or g2[0][1] != 1:
         raise ValueError(
             f"level {n}: expected one (q-2, q, 0) node with count 1, "
@@ -147,9 +156,9 @@ def _classify_level(n: int, labels: dict[tuple[int, int, int], int]) -> TripleLe
 
 def simulate_0021_levels(n_max: int) -> list[TripleLevelTables]:
     """Classified label counts for levels 1..n_max, grown from the root."""
-    levels = simulate((0, 2, 0), _rule, n_max)
+    levels, kinds = simulate((0, 2, 0), _rule, n_max), {}
     for n, labels in enumerate(levels, 1):  # in place, freeing each raw level
-        levels[n - 1] = _classify_level(n, labels)
+        levels[n - 1] = _classify_level(n, labels, kinds)
     return levels
 
 
@@ -160,50 +169,43 @@ def triple_recurrence_levels(n_max: int) -> list[TripleLevelTables]:
     q + r = n first, then the two-level sums.  Empty sums are zero.  The g1
     sums are suffix sums along each antidiagonal q + r = s of the level
     below and the g0 sums suffix sums along each of its rows, so a level
-    costs O(n^2).
+    costs O(n^2).  The level below is held as rows of g0 and of g1 over
+    r = 0..n-q, zeros included, and each level's dicts are built once.
     """
     if n_max < 1:
         return []
     out = [TripleLevelTables(1, {}, {}, 2)]
+    rows0 = rows1 = [[], [0]]  # rows[q][r], r = 0..n-q, one level down
+    keys = [[], [(1, 0)]]  # keys[q][r] = (q, r)
     for n in range(2, n_max + 1):
-        prev0, prev1 = out[-1].g0.get, out[-1].g1.get
-        # diagonal[(q, r)], s = q + r < n: g1(i, s-i) one level down summed
-        # over q <= i < s, plus g0(i, s-i) over q <= i < s-1; q walks down
-        diagonal: dict[tuple[int, int], int] = {}
-        for s in range(2, n):
-            acc = 0
-            for q in range(s - 1, 0, -1):
-                acc += prev1((q, s - q), 0)
-                if q < s - 1:
-                    acc += prev0((q, s - q), 0)
-                diagonal[(q, s - q)] = acc
-        g1: dict[tuple[int, int], int] = {}
-        for q in range(1, n + 1):
-            for r in range(0, n - q + 1):
-                if q + r == n and r > 0:
-                    g1[(q, r)] = 1
-                elif q + r < n:
-                    val = diagonal.get((q, r), 0)
-                    if val:
-                        g1[(q, r)] = val
-        g0: dict[tuple[int, int], int] = {}
-        if n > 2:
-            for q in range(1, n + 1):
-                # row[r]: g0(q, i) one level down summed over r <= i < n-q,
-                # plus g1(q, i) over r-1 <= i < n-q; r walks down from n-q-1
-                row: dict[int, int] = {}
-                acc = prev1((q, n - q - 1), 0)
-                for r in range(n - q - 1, 1, -1):
-                    acc += prev0((q, r), 0) + prev1((q, r - 1), 0)
-                    row[r] = acc
-                for r in range(2, n - q + 1):
-                    if q + r == n:
-                        g0[(q, r)] = 1
-                    elif q + r < n:
-                        val = prev0((q, r), 0) + row[r]
-                        if val:
-                            g0[(q, r)] = val
-        out.append(TripleLevelTables(n, g0, g1, n + 1))
+        for q in range(1, n):
+            keys[q].append((q, n - q))
+        keys.append([(n, 0)])
+        new0, new1 = [[]] * (n + 1), [[]] * (n + 1)
+        new0[n] = new1[n] = [0]  # q = n: r = 0, no node
+        # diagonal[s], s = q + r < n: g1(i, s-i) one level down summed over
+        # q <= i < s, plus g0(i, s-i) over q <= i < s-1; q walks down
+        diagonal = [0] * n
+        for q in range(n - 1, 0, -1):
+            m, prev0, prev1 = n - q, rows0[q], rows1[q]
+            diagonal[q + 1:] = map(add, diagonal[q + 1:], prev1[1:m])
+            diagonal[q + 2:] = map(add, diagonal[q + 2:], prev0[2:m])
+            new1[q] = [0, *diagonal[q + 1:], 1]  # the boundary one at r = m
+            if m < 2:
+                new0[q] = [0, 0]  # g0 has r >= 2
+            else:
+                # row: g0(q, i) one level down summed over r <= i < m, plus
+                # g1(q, i) over r-1 <= i < m; r walks down from m-1 to 2
+                row = list(accumulate(map(add, prev0[m - 1:1:-1], prev1[m - 2:0:-1]),
+                                      initial=prev1[m - 1]))
+                new0[q] = [0, 0, *map(add, prev0[2:m], row[:0:-1]), 1]
+        rows0, rows1 = new0, new1
+        flat = list(chain.from_iterable(keys))
+        tables = []
+        for rows in rows0, rows1:
+            values = list(chain.from_iterable(rows))
+            tables.append(dict(compress(zip(flat, values), values)))
+        out.append(TripleLevelTables(n, *tables, n + 1))
     return out
 
 

@@ -19,6 +19,8 @@ runs on running sums, at O(n^2) per level.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate, chain, compress
+from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
 from .gentree import simulate
@@ -93,28 +95,30 @@ def pair_recurrence_levels(n_max: int) -> list[PairLevelTable]:
     times over, from an (i, q-1+i) node; one with p > 0 comes from a (p, q)
     node or from an (i, q-1) node with i < p.  Empty sums are zero.  Both
     sums run on running totals, so a level costs O(n^2): one weighted sum
-    per diagonal of the level below, and a prefix sum down each column.
+    per diagonal of the level below, and a prefix sum down each column.  The
+    level below is held as its columns, zeros included, and each level's
+    dict is built once from them.
     """
     if n_max < 1:
         return []
     levels = [PairLevelTable(1, {(0, 1): 1})]
+    cols = [[], [1]]  # cols[q][p]: the (p, q) count one level down
+    keys = [[], [(0, 1)]]  # keys[q][p] = (p, q)
     for n in range(2, n_max + 1):
-        prev = levels[-1].g
+        cols.append([0] * n)  # no node has q = n one level down
+        keys.append([(p, n) for p in range(n)])
         # diagonal[d] = sum_i i * prev(i, i+d), the p = 0 sum for q = d+1
         diagonal = [0] * n
-        for (i, j), val in prev.items():
+        for (i, j), val in levels[-1].g.items():
             diagonal[j - i] += i * val
-        g: dict[tuple[int, int], int] = {}
-        for q in range(1, n + 1):
-            below = 0  # prev(i, q-1) summed over i < p
-            for p in range(0, q):
-                if p == 0:
-                    val = prev.get((0, q), 0) + diagonal[q - 1]
-                else:
-                    below += prev.get((p - 1, q - 1), 0)
-                    val = prev.get((p, q), 0) + below
-                if val:
-                    g[(p, q)] = val
+        # p = 0: prev(0, q) + diagonal[q-1]; p > 0: prev(p, q) plus the
+        # running sum of prev(i, q-1) over i < p, down column q-1
+        cols = [[]] + [
+            [cols[q][0] + diagonal[q - 1], *map(add, cols[q][1:], accumulate(cols[q - 1]))]
+            for q in range(1, n + 1)
+        ]
+        values = list(chain.from_iterable(cols))
+        g = dict(compress(zip(chain.from_iterable(keys), values), values))
         levels.append(PairLevelTable(n, g))
     return levels
 

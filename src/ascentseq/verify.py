@@ -144,10 +144,12 @@ def _rule_vs_definition(spec: _ClassSpec, oracle_max) -> list[tuple]:
 
     One walk to length oracle_max + 1 visits every avoider with its append
     set, from which spec.label gives its label.  The open parents along the
-    DFS path are checked as the walk leaves them.
+    DFS path are checked as the walk leaves them.  The rule's children of
+    each label are built once per call.
     """
     bad = []
     path: list[tuple] = []  # (avoider, rule's children, labels of children seen)
+    children: dict = {}  # label -> the rule's children, read only
 
     def close() -> None:
         a, want, got = path.pop()
@@ -161,7 +163,9 @@ def _rule_vs_definition(spec: _ClassSpec, oracle_max) -> list[tuple]:
         if path:
             path[-1][2][label] += 1
         if len(seq) <= oracle_max:
-            path.append((seq, spec.children(label), Counter()))
+            if label not in children:
+                children[label] = spec.children(label)
+            path.append((seq, children[label], Counter()))
 
     visit_avoiders(oracle_max + 1, spec.patterns, visit)
     while path:

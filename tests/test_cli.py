@@ -596,6 +596,18 @@ def test_series_commands_load_no_fractions_or_decimal():
         assert not ({"fractions", "decimal", "_decimal"} - bare) & loaded, argv
 
 
+def test_plain_tree_commands_load_no_json():
+    # cli.py imports json only to write json; the tree modules need none
+    bare = _loaded_by("pass", root=None)
+    for argv, module in [
+        (["count", "--patterns", "0021", "--n", "9", "--method", "tree"], "ascentseq.gentree_0021"),
+        (["table", "--family", "pair", "--n", "4"], "ascentseq.gentree_pair"),
+    ]:
+        loaded = _loaded_by(RUN_MAIN, *argv, root=None)
+        assert module in loaded
+        assert not ({"json"} - bare) & loaded, argv
+
+
 def test_package_root_imports_submodules_on_first_use():
     assert _loaded_by("import ascentseq") == {"ascentseq"}
     assert ascentseq.verify.crosscheck_pair.__module__ == "ascentseq.verify"

@@ -568,7 +568,7 @@ def test_completes_is_the_or_over_stored_matches(text):
 
 
 @pytest.mark.parametrize("text", DRIVEN_SETS)
-def test_after_reads_what_push_would_stack(text):
+def test_step_matches_the_naive_step(text):
     # step(sid, d) is naive_step, for every digit d, appendable or not: the
     # matches it holds, and the completes() row read off its tops
     B = core.parse_patterns(text)
@@ -586,7 +586,7 @@ def test_after_reads_what_push_would_stack(text):
 
 
 @pytest.mark.parametrize("text", ["201,210", "0021", "1012", "0111,2110,30321"])
-def test_push_and_undo_leave_no_state_behind(text):
+def test_states_are_immutable_and_interned(text):
     # states are immutable and interned: stepping changes no state it has
     # made, and the same matches reached along two words get one id
     ids = {}

@@ -143,6 +143,23 @@ def test_simulation_expands_each_label_once(monkeypatch):
     assert calls == Counter(reached)
 
 
+def test_split_classifies_each_label_once(monkeypatch):
+    raw = gt.simulate((0, 2, 0), gt._rule, 12)
+    want = gt.simulate_0021_levels(12)
+    real, calls = gt._classify, Counter()
+
+    def counted(label):
+        calls[label] += 1
+        return real(label)
+
+    # only the split runs: the engine hands out copies of the raw levels
+    monkeypatch.setattr(gt, "simulate", lambda root, rule, n_max: [dict(lv) for lv in raw])
+    monkeypatch.setattr(gt, "_classify", counted)
+    assert gt.simulate_0021_levels(12) == want
+    assert calls == Counter({label for level in raw for label in level})
+    assert sum(calls.values()) < sum(map(len, raw))  # not once per (label, level)
+
+
 def test_recurrence_totals_match_formula_to_80():
     rec = gt.triple_recurrence_levels(80)
     assert [t.total() for t in rec] == [a007317(n) for n in range(1, 81)]
@@ -151,12 +168,12 @@ def test_recurrence_totals_match_formula_to_80():
 def test_wrong_count_of_increasing_node_is_rejected():
     # a count this large must be reported, not expanded into a list
     with pytest.raises(ValueError, match="expected one"):
-        gt._classify_level(3, {(2, 4, 0): 10**30})
+        gt._classify_level(3, {(2, 4, 0): 10**30}, {})
     with pytest.raises(ValueError, match="expected one"):
-        gt._classify_level(3, {(2, 4, 0): 2})
+        gt._classify_level(3, {(2, 4, 0): 2}, {})
     with pytest.raises(ValueError, match="expected one"):
-        gt._classify_level(3, {(0, 1, 2): 1})
-    assert gt._classify_level(3, {(2, 4, 0): 1}).g2_q == 4
+        gt._classify_level(3, {(0, 1, 2): 1}, {})
+    assert gt._classify_level(3, {(2, 4, 0): 1}, {}).g2_q == 4
 
 
 def test_totals_match_brute_force():
