@@ -568,7 +568,9 @@ def test_completes_is_the_or_over_stored_matches(text):
 
 
 @pytest.mark.parametrize("text", DRIVEN_SETS)
-def test_step_matches_the_naive_step(text):
+def test_after_reads_what_push_would_stack(text):
+    # named for the push/after tracker the automaton replaced; the name is
+    # kept so that its 30 ids stay (ROADMAP item 7 holds the rename)
     # step(sid, d) is naive_step, for every digit d, appendable or not: the
     # matches it holds, and the completes() row read off its tops
     B = core.parse_patterns(text)
